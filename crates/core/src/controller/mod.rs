@@ -19,9 +19,8 @@
 //!   bound" as shipped by commercial systems; "do nothing").
 //! * [`TayRule`] / [`IyerRule`] — §1's "theoretically derived rules of
 //!   thumb" (`k²n/D < 1.5`, conflicts/txn ≤ 0.75).
-//! * [`RetryBudget`] — token-bucket retry budgeting, mirroring the
-//!   runtime's `RetryBudgetLaw` decision-for-decision so retry-storm
-//!   gate logs replay through either side of the conformance pin.
+//! * [`RetryBudget`] — token-bucket retry budgeting: commits earn retry
+//!   credit, aborts spend it, and an overdraft cuts the bound.
 
 mod fixed;
 mod hybrid;

@@ -35,8 +35,6 @@
 //!   observes ([`gatelog::GateEvent`], [`gatelog::GateLogSink`]): the
 //!   shared vocabulary that lets `alc-runtime` replay simulator logs and
 //!   prove decision-sequence conformance.
-//! * [`pipeline`] — [`pipeline::ControlLoop`] wires gate + sampler +
-//!   controller together for runtime (non-simulated) use.
 //!
 //! # Quick start
 //!
@@ -69,7 +67,6 @@ pub mod gate;
 pub mod gatelog;
 pub mod measure;
 pub mod meta;
-pub mod pipeline;
 pub mod sampler;
 
 pub use controller::{

@@ -59,9 +59,9 @@ pub struct Decision {
 /// The deterministic event-time control core (no clock, no threads, no
 /// I/O). Drive it with monotonically non-decreasing `now_ms` values.
 ///
-/// Time starts at `0.0` with an empty system — the same epoch the
-/// simulator's sampler uses, which is what lets simulator-recorded logs
-/// replay through this type unchanged.
+/// Time starts at `0.0` with an empty system. The simulator drives this
+/// same type from simulated time, which is what lets simulator-recorded
+/// logs replay through it unchanged.
 pub struct LoopCore {
     telemetry: TelemetryWindow,
     law: Box<dyn ControlLaw>,
@@ -146,9 +146,16 @@ impl LoopCore {
         self.telemetry.on_shed();
     }
 
+    /// Closes the window at `now_ms` without consulting the law: nothing
+    /// is decided, counted or logged. An uncontrolled simulation still
+    /// samples its measurements this way.
+    pub fn close_window(&mut self, now_ms: f64, queue_depth: u32) -> WindowSnapshot {
+        self.telemetry.harvest(now_ms, queue_depth)
+    }
+
     /// Closes the window at `now_ms` and runs the law.
     pub fn harvest(&mut self, now_ms: f64, queue_depth: u32) -> Decision {
-        let window = self.telemetry.harvest(now_ms, queue_depth);
+        let window = self.close_window(now_ms, queue_depth);
         let bound = self.law.decide(&window);
         if let Some(log) = self.log.as_mut() {
             log.record(&GateEvent::Decision {

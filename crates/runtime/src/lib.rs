@@ -13,9 +13,9 @@
 //!   owns telemetry + law + logging and never reads a clock.
 //! * [`law`] — the pure decision logic: [`ControlLaw`] over
 //!   [`WindowSnapshot`]s, with [`PaperLaw`] running any `alc_core`
-//!   controller unchanged, plus [`AimdLaw`] and [`RetryBudgetLaw`] as
-//!   self-*-style alternatives.
-//! * [`telemetry`] — [`TelemetryWindow`]: the simulator's own
+//!   controller unchanged (the retry-budget token bucket included), plus
+//!   [`AimdLaw`] as a self-*-style alternative.
+//! * [`telemetry`] — [`TelemetryWindow`]: the paper's
 //!   `IntervalSampler` plus allocation-free P² latency quantiles and
 //!   shed counting.
 //! * [`log`] — the JSONL gate-log format ([`JsonlSink`] writer,
@@ -32,9 +32,9 @@
 //! A controller's decisions are a pure function of its sampler's input
 //! stream and harvest instants. The simulator records exactly that
 //! stream (`Simulator::set_gate_log`), the JSONL format round-trips
-//! every `f64` exactly, and [`LoopCore`] drives the *same* sampler and
-//! controller code — so replaying a simulated scenario through this
-//! crate must reproduce the simulation's decision sequence bit-for-bit.
+//! every `f64` exactly, and the simulator's control core *is* a
+//! [`LoopCore`] — so replaying a simulated scenario through a fresh one
+//! must reproduce the simulation's decision sequence bit-for-bit.
 //! The checked-in traces under `scenarios/traces/` pin that property in
 //! CI: the simulator's validated behavior *is* the runtime's acceptance
 //! test.
@@ -45,13 +45,13 @@ pub mod control;
 pub mod law;
 pub mod log;
 pub mod metrics;
+#[cfg(test)]
+mod pipeline;
 pub mod replay;
 pub mod telemetry;
 
 pub use control::{AdmissionPolicy, AdmittedPermit, ControlLoop, Decision, LoopCore};
-pub use law::{
-    AimdLaw, AimdParams, ControlLaw, PaperLaw, RetryBudgetLaw, RetryBudgetParams, WindowSnapshot,
-};
+pub use law::{AimdLaw, AimdParams, ControlLaw, PaperLaw, WindowSnapshot};
 pub use log::{event_line, read_gate_log, write_gate_log, GateLogError, GateLogHeader, JsonlSink};
 pub use metrics::{
     metrics_line, read_metrics_jsonl, write_metrics_jsonl, MetricsError, MetricsSnapshot,

@@ -1,7 +1,8 @@
 //! Windowed telemetry: the runtime's measurement front-end.
 //!
-//! [`TelemetryWindow`] wraps the *same* `alc_core::sampler::IntervalSampler`
-//! the simulator drives — that sharing is what makes replay conformance
+//! [`TelemetryWindow`] wraps `alc_core::sampler::IntervalSampler`. The
+//! simulator measures through this same window (inside its
+//! [`LoopCore`](crate::LoopCore)), which is what makes replay conformance
 //! exact: identical event streams produce identical [`Measurement`]s
 //! because they run through identical code. On top of the sampler it
 //! keeps runtime-only observations per window — response-time quantiles
@@ -170,8 +171,7 @@ impl TelemetryWindow {
         self.sampler.on_mpl_change(now_ms, mpl);
     }
 
-    /// Records a commit. Mirrors the simulator's sampler call order
-    /// (conflicts, then the commit) so replayed streams stay identical.
+    /// Records a commit: its conflicts, then the commit itself.
     pub fn on_commit(&mut self, response_ms: f64, conflicts: u64) {
         self.sampler.on_conflicts(conflicts);
         self.sampler.on_commit(response_ms);

@@ -375,9 +375,8 @@ pub enum ControllerSpec {
     Hybrid(HybridParams),
     /// Iyer's conflict-rate rule as a feedback baseline.
     Iyer(IyerRuleParams),
-    /// Token-bucket retry budgeting (mirrors the runtime's
-    /// `RetryBudgetLaw` decision-for-decision, so its gate logs replay
-    /// through the embeddable law).
+    /// Token-bucket retry budgeting (its gate logs replay through the
+    /// runtime as `PaperLaw(RetryBudget)`, like every other controller).
     RetryBudget(RetryBudgetParams),
     /// Tay's static `k²n/D < 1.5` rule of thumb.
     Tay {

@@ -14,17 +14,20 @@
 //!
 //! Every `sample_interval_ms` a `Sample` event harvests the interval
 //! measurement, lets the controller adjust the gate bound, and records the
-//! trajectory points the paper's figures plot.
+//! trajectory points the paper's figures plot. Measurement, decision and
+//! gate-log recording all run through `alc_runtime::LoopCore`, the control
+//! core the embeddable runtime drives from wall-clock time; the simulator
+//! drives it from simulated time.
 
-use alc_core::controller::LoadController;
-use alc_core::gatelog::{GateEvent, GateLogSink};
+use alc_core::controller::{LoadController, Unlimited};
+use alc_core::gatelog::GateLogSink;
 use alc_core::meta::{MetaObservation, MetaPolicy};
-use alc_core::sampler::IntervalSampler;
 use alc_des::dist::Sample as _;
 use alc_des::rng::{RngStream, SeedFactory};
 use alc_des::series::TimeSeries;
 use alc_des::stats::{TimeWeighted, Welford};
 use alc_des::{Calendar, SimTime};
+use alc_runtime::{LoopCore, PaperLaw};
 use alc_trace::{cat as tcat, name as tname, Args as TraceArgs, TraceEvent, TraceSink};
 
 use crate::cc::{make_cc, AccessOutcome, ConcurrencyControl};
@@ -220,8 +223,13 @@ pub struct Simulator {
     cpu: CpuStation,
     gate: SimGate,
     rng: Streams,
-    controller: Option<Box<dyn LoadController>>,
-    sampler: IntervalSampler,
+    /// Telemetry window, controller and optional gate-log recorder. The
+    /// gate log mirrors every sampler input and controller decision, so
+    /// runs replay through `alc-runtime` (see `alc_core::gatelog`).
+    core: LoopCore,
+    /// Whether a controller was supplied; uncontrolled runs still close
+    /// the measurement window each sample but never consult the law.
+    controlled: bool,
     ts_counter: u64,
     /// Open mode: transaction slots currently unused (LIFO for cache
     /// friendliness; slot identity carries no semantics in open mode).
@@ -277,10 +285,6 @@ pub struct Simulator {
     /// Cached Zipf sampler for the hot-spot extension, keyed by the skew
     /// in force when it was built.
     zipf_cache: Option<(f64, alc_des::dist::Zipf)>,
-    /// Optional gate-log recorder mirroring every sampler input and
-    /// controller decision, so runs become replayable through
-    /// `alc-runtime` (see `alc_core::gatelog`). `None` costs nothing.
-    gate_log: Option<Box<dyn GateLogSink>>,
     /// Optional span/event trace sink (see `alc_trace`): per-transaction
     /// lifecycle spans, service bursts, control decisions, CC switches,
     /// faults and client events, stamped with simulated time. `None`
@@ -313,6 +317,10 @@ impl Simulator {
             .as_ref()
             .map_or(control.initial_bound, |c| c.current_bound());
         let slots = sys.terminals as usize;
+        // An uncontrolled run never consults its law (see `on_sample`).
+        let controlled = controller.is_some();
+        // alc-lint: allow(hot-alloc, reason="construction-time placeholder law for uncontrolled runs")
+        let law = PaperLaw::new(controller.unwrap_or_else(|| Box::new(Unlimited)));
         let mut sim = Simulator {
             // Every slot has at most one in-flight event plus a Sample and
             // an Arrival; capacity beyond that only ever holds tombstones.
@@ -342,8 +350,9 @@ impl Simulator {
                 client_timeout: seeds.stream("client_timeout"),
                 retry_jitter: seeds.stream("retry_jitter"),
             },
-            controller,
-            sampler: IntervalSampler::new(control.indicator, 0.0, 0),
+            controlled,
+            // alc-lint: allow(hot-alloc, reason="construction-time: the law is boxed once per simulator")
+            core: LoopCore::new(Box::new(law), control.indicator),
             ts_counter: 0,
             free_slots: Vec::with_capacity(slots),
             events: 0,
@@ -362,7 +371,6 @@ impl Simulator {
             optimum_cache: std::collections::BTreeMap::new(),
             record_optimum: true,
             zipf_cache: None,
-            gate_log: None,
             trace: None,
             clients: None,
             last_attempts: 0,
@@ -401,18 +409,18 @@ impl Simulator {
 
     /// Installs a gate-log sink. From then on every sampler input (MPL
     /// change, commit, abort) and every controller decision is mirrored
-    /// into the sink as a [`GateEvent`], making the run replayable: the
+    /// into the sink as a `GateEvent`, making the run replayable: the
     /// recorded stream fed through an identically built sampler +
     /// controller reproduces the decision sequence bit-for-bit. Call
     /// before running; recording does not perturb the simulation.
     pub fn set_gate_log(&mut self, sink: Box<dyn GateLogSink>) {
-        self.gate_log = Some(sink);
+        self.core.set_gate_log(sink);
     }
 
     /// Removes and returns the installed gate-log sink (typically after
     /// the run, to extract the recorded events).
     pub fn take_gate_log(&mut self) -> Option<Box<dyn GateLogSink>> {
-        self.gate_log.take()
+        self.core.take_gate_log()
     }
 
     /// Installs a span/event trace sink. From then on the engine emits
@@ -1297,16 +1305,8 @@ impl Simulator {
             debug_assert!(self.cc_active > 0, "commit without an in-CC txn");
             self.cc_active -= 1;
             self.conflicts += v.conflicts;
-            self.sampler.on_conflicts(v.conflicts);
             let response = now - self.txns[i].submitted_at;
-            self.sampler.on_commit(response);
-            if let Some(log) = self.gate_log.as_mut() {
-                log.record(&GateEvent::Commit {
-                    at_ms: now.millis(),
-                    response_ms: response,
-                    conflicts: v.conflicts,
-                });
-            }
+            self.core.on_commit(now.millis(), response, v.conflicts);
             self.response.push(response);
             self.commits += 1;
             self.tr_end(tname::RUN, i, "commit");
@@ -1346,13 +1346,7 @@ impl Simulator {
             self.put_scratch(admitted);
             self.put_scratch(unblocked);
         } else {
-            self.sampler.on_abort(v.conflicts);
-            if let Some(log) = self.gate_log.as_mut() {
-                log.record(&GateEvent::Abort {
-                    at_ms: now.millis(),
-                    conflicts: v.conflicts,
-                });
-            }
+            self.core.on_abort(now.millis(), v.conflicts);
             self.conflicts += v.conflicts;
             self.abort_run(i, RestartMode::Delayed);
         }
@@ -1562,13 +1556,7 @@ impl Simulator {
         // gate queue is an admission refusal, exactly like a shed retry.
         if consumed {
             let now = self.now();
-            self.sampler.on_abort(0);
-            if let Some(log) = self.gate_log.as_mut() {
-                log.record(&GateEvent::Abort {
-                    at_ms: now.millis(),
-                    conflicts: 0,
-                });
-            }
+            self.core.on_abort(now.millis(), 0);
         }
         self.retry_or_abandon(c);
     }
@@ -1797,15 +1785,15 @@ impl Simulator {
 
     fn on_sample(&mut self) {
         let now = self.now();
-        let m = self.sampler.harvest(now.millis());
-        if let Some(ctrl) = self.controller.as_mut() {
-            let bound = ctrl.update(&m);
-            if let Some(log) = self.gate_log.as_mut() {
-                log.record(&GateEvent::Decision {
-                    at_ms: now.millis(),
-                    bound,
-                });
-            }
+        let queue_depth = u32::try_from(self.gate.queue_len()).unwrap_or(u32::MAX);
+        let (m, decided) = if self.controlled {
+            let d = self.core.harvest(now.millis(), queue_depth);
+            (d.window.measurement, Some(d.bound))
+        } else {
+            let w = self.core.close_window(now.millis(), queue_depth);
+            (w.measurement, None)
+        };
+        if let Some(bound) = decided {
             self.bound_avg.set(now, f64::from(bound).min(1e9));
             self.tr_instant(tname::GATE_DECISION, tcat::GATE, TraceArgs::Bound(bound));
             self.tr_counter(tname::BOUND, f64::from(bound));
@@ -1931,13 +1919,7 @@ impl Simulator {
         let now = self.now();
         let n = self.gate.in_system();
         self.mpl_avg.set(now, f64::from(n));
-        self.sampler.on_mpl_change(now.millis(), n);
-        if let Some(log) = self.gate_log.as_mut() {
-            log.record(&GateEvent::Mpl {
-                at_ms: now.millis(),
-                in_system: n,
-            });
-        }
+        self.core.on_mpl(now.millis(), n);
         self.tr_counter(tname::MPL, f64::from(n));
     }
 }
@@ -1956,7 +1938,9 @@ enum RestartMode {
 mod tests {
     use super::*;
     use alc_core::controller::{FixedBound, IncrementalSteps, IsParams};
+    use alc_core::gatelog::GateEvent;
     use alc_des::dist::Dist;
+    use std::sync::{Arc, Mutex};
 
     fn small_sys(terminals: u32, seed: u64) -> SystemConfig {
         SystemConfig {
@@ -2293,6 +2277,57 @@ mod tests {
         };
         assert_eq!(a.commits, b.commits);
         assert!((a.throughput_per_sec - b.throughput_per_sec).abs() < 1e-9);
+    }
+
+    /// A gate-log sink sharing its buffer with the test body.
+    struct SharedLog(Arc<Mutex<Vec<GateEvent>>>);
+
+    impl GateLogSink for SharedLog {
+        fn record(&mut self, event: &GateEvent) {
+            self.0.lock().unwrap().push(event.clone());
+        }
+    }
+
+    #[test]
+    fn uncontrolled_run_logs_sampler_inputs_but_no_decisions() {
+        // Contended enough that certification aborts some runs.
+        let run = |log: Option<SharedLog>| {
+            let workload = WorkloadConfig {
+                k: alc_analytic::surface::Schedule::Constant(8.0),
+                query_frac: alc_analytic::surface::Schedule::Constant(0.0),
+                write_frac: alc_analytic::surface::Schedule::Constant(1.0),
+                ..WorkloadConfig::default()
+            };
+            let mut sys = small_sys(30, 5);
+            sys.db_size = 60;
+            let mut sim =
+                Simulator::new(sys, workload, CcKind::Certification, no_control(12), None);
+            sim.set_record_optimum(false);
+            if let Some(log) = log {
+                sim.set_gate_log(Box::new(log));
+            }
+            let stats = sim.run(10_000.0);
+            let traj = sim.trajectories();
+            let busiest = traj
+                .observed_mpl
+                .points()
+                .iter()
+                .fold(0.0f64, |a, &(_, v)| a.max(v));
+            (stats, format!("{traj:?}"), busiest)
+        };
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let logged = run(Some(SharedLog(Arc::clone(&events))));
+        let events = events.lock().unwrap();
+        let count = |f: fn(&GateEvent) -> bool| events.iter().filter(|e| f(e)).count();
+        assert!(count(|e| matches!(e, GateEvent::Mpl { .. })) > 0);
+        assert!(count(|e| matches!(e, GateEvent::Commit { .. })) > 0);
+        assert!(count(|e| matches!(e, GateEvent::Abort { .. })) > 0);
+        assert_eq!(count(|e| matches!(e, GateEvent::Decision { .. })), 0);
+        // The window still closes every sample, and recording perturbs
+        // nothing: the trajectories match an unlogged run exactly.
+        let plain = run(None);
+        assert!(plain.2 > 0.0, "measurement window never closed");
+        assert_eq!(logged, plain);
     }
 
     #[test]

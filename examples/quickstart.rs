@@ -1,10 +1,12 @@
 //! Quickstart: adaptive concurrency limiting for a real (threaded)
 //! workload.
 //!
-//! A pool of worker threads pushes jobs through an [`AdaptiveGate`] whose
-//! limit is steered by the Incremental Steps controller — the same
-//! feedback loop the paper applies to transaction processing, applied to
-//! any server that degrades under excessive concurrency.
+//! A pool of worker threads pushes jobs through an `alc_runtime`
+//! [`ControlLoop`] whose limit is steered by the Incremental Steps
+//! controller — the same feedback loop the paper applies to transaction
+//! processing, applied to any server that degrades under excessive
+//! concurrency. The measurement interval itself adapts (§5): each tick is
+//! paced by an [`AdaptiveInterval`] aiming at ~200 departures per window.
 //!
 //! The simulated "work" here degrades when too many jobs run at once
 //! (think lock contention or cache thrash): each job takes
@@ -23,9 +25,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adaptive_load_control::core::controller::{IncrementalSteps, IsParams};
-use adaptive_load_control::core::pipeline::ControlLoop;
 use adaptive_load_control::core::sampler::AdaptiveInterval;
 use adaptive_load_control::core::PerfIndicator;
+use adaptive_load_control::runtime::{AdmissionPolicy, ControlLoop, Outcome, PaperLaw};
 
 fn main() {
     let controller = IncrementalSteps::new(IsParams {
@@ -38,10 +40,11 @@ fn main() {
         ..IsParams::default()
     });
     let control = Arc::new(ControlLoop::new(
-        controller,
+        Box::new(PaperLaw::new(Box::new(controller))),
         PerfIndicator::Throughput,
-        AdaptiveInterval::new(200, 100.0, 1000.0, 250.0),
+        AdmissionPolicy::Queue,
     ));
+    let mut interval = AdaptiveInterval::new(200, 100.0, 1000.0, 250.0);
     let running = Arc::new(AtomicBool::new(true));
     let in_flight = Arc::new(AtomicU32::new(0));
 
@@ -53,39 +56,45 @@ fn main() {
         let in_flight = Arc::clone(&in_flight);
         handles.push(std::thread::spawn(move || {
             while running.load(Ordering::Relaxed) {
-                let permit = control.admit();
+                let permit = control.admit().expect("Queue policy never sheds");
                 let n = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
                 // Work that degrades superlinearly with concurrency.
                 let ms = 2.0 * (1.0 + (f64::from(n) / 12.0).powi(3));
                 let t0 = std::time::Instant::now();
                 std::thread::sleep(Duration::from_micros((ms * 1000.0) as u64));
                 in_flight.fetch_sub(1, Ordering::SeqCst);
-                control.complete(t0.elapsed().as_secs_f64() * 1000.0);
-                drop(permit);
+                let outcome = Outcome::Commit {
+                    response_ms: t0.elapsed().as_secs_f64() * 1000.0,
+                    conflicts: 0,
+                };
+                control.complete(permit, outcome);
             }
         }));
     }
 
-    println!("interval  limit  throughput/s  mean_resp_ms  queued");
+    println!("    time  limit  throughput/s  mean_resp_ms  queued  next_ms");
+    let mut next_ms = interval.current_ms();
     for _ in 0..40 {
-        std::thread::sleep(Duration::from_millis(250));
-        let (m, bound, _next) = control.tick();
-        let stats = control.gate().stats();
+        std::thread::sleep(Duration::from_secs_f64(next_ms / 1000.0));
+        let decision = control.tick();
+        let m = &decision.window.measurement;
+        next_ms = interval.observe(m);
         println!(
-            "{:>8.1}s {:>5}  {:>12.0}  {:>12.2}  {:>6}",
+            "{:>7.1}s {:>5}  {:>12.0}  {:>12.2}  {:>6}  {:>7.0}",
             m.at_ms / 1000.0,
-            bound,
+            decision.bound,
             m.performance,
             m.mean_response_ms,
-            stats.waiting,
+            decision.window.queue_depth,
+            next_ms,
         );
     }
+    let final_limit = control.gate().limit();
     running.store(false, Ordering::Relaxed);
     // Unblock any workers still queued at the gate.
     control.gate().set_limit(64);
     for h in handles {
         h.join().expect("worker");
     }
-    let final_limit = control.gate().limit();
     println!("\nconverged concurrency limit: {final_limit} (work degrades sharply past ~12)");
 }

@@ -12,31 +12,33 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adaptive_load_control::core::controller::{IncrementalSteps, IsParams};
-use adaptive_load_control::core::pipeline::ControlLoop;
-use adaptive_load_control::core::sampler::AdaptiveInterval;
 use adaptive_load_control::core::PerfIndicator;
+use adaptive_load_control::runtime::{AdmissionPolicy, ControlLoop, Outcome, PaperLaw};
 
 #[test]
 fn control_loop_limits_a_degrading_workload() {
+    let controller = IncrementalSteps::new(IsParams {
+        initial_bound: 2,
+        min_bound: 1,
+        max_bound: 32,
+        beta: 0.02,
+        min_step: 1.0,
+        max_step: 3.0,
+        // Only 16 workers exist, so any bound above ~16 sees a flat
+        // performance signal; δ/γ drift-correction (§4.1) must pull the
+        // bound back toward the achievable load instead of letting it
+        // random-walk in the flat region.
+        delta: 4.0,
+        gamma: 4.0,
+        ..IsParams::default()
+    });
     let cl = Arc::new(ControlLoop::new(
-        IncrementalSteps::new(IsParams {
-            initial_bound: 2,
-            min_bound: 1,
-            max_bound: 32,
-            beta: 0.02,
-            min_step: 1.0,
-            max_step: 3.0,
-            // Only 16 workers exist, so any bound above ~16 sees a flat
-            // performance signal; δ/γ drift-correction (§4.1) must pull the
-            // bound back toward the achievable load instead of letting it
-            // random-walk in the flat region.
-            delta: 4.0,
-            gamma: 4.0,
-            ..IsParams::default()
-        }),
+        Box::new(PaperLaw::new(Box::new(controller))),
         PerfIndicator::Throughput,
-        AdaptiveInterval::new(100, 20.0, 500.0, 60.0),
+        AdmissionPolicy::Queue,
     ));
+    assert_eq!(cl.gate().limit(), 2, "gate starts at the law's bound");
+    assert_eq!(cl.with_law(|law| law.name()), "incremental-steps");
     let running = Arc::new(AtomicBool::new(true));
     let in_flight = Arc::new(AtomicU32::new(0));
 
@@ -47,15 +49,18 @@ fn control_loop_limits_a_degrading_workload() {
         let in_flight = Arc::clone(&in_flight);
         workers.push(std::thread::spawn(move || {
             while running.load(Ordering::Relaxed) {
-                let permit = cl.admit();
+                let permit = cl.admit().expect("Queue policy never sheds");
                 let n = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
                 // Superlinear degradation past ~6 concurrent jobs.
                 let us = 300.0 * (1.0 + (f64::from(n) / 6.0).powi(3));
                 let t0 = std::time::Instant::now();
                 std::thread::sleep(Duration::from_micros(us as u64));
                 in_flight.fetch_sub(1, Ordering::SeqCst);
-                cl.complete(t0.elapsed().as_secs_f64() * 1000.0);
-                drop(permit);
+                let outcome = Outcome::Commit {
+                    response_ms: t0.elapsed().as_secs_f64() * 1000.0,
+                    conflicts: 0,
+                };
+                cl.complete(permit, outcome);
             }
         }));
     }
@@ -64,9 +69,9 @@ fn control_loop_limits_a_degrading_workload() {
     let mut measured = Vec::new();
     for _ in 0..50 {
         std::thread::sleep(Duration::from_millis(60));
-        let (m, limit, _) = cl.tick();
-        limits.push(limit);
-        measured.push(m);
+        let decision = cl.tick();
+        limits.push(decision.bound);
+        measured.push(decision.window.measurement);
     }
     running.store(false, Ordering::Relaxed);
     cl.gate().set_limit(64); // drain queued workers
@@ -77,11 +82,12 @@ fn control_loop_limits_a_degrading_workload() {
     // The loop must have produced real measurements...
     let total: u64 = measured.iter().map(|m| m.departures).sum();
     assert!(total > 200, "only {total} completions measured");
-    // ...explored away from the initial limit...
+    // ...explored away from the initial limit, staying in range...
     assert!(
         limits.iter().any(|&l| l != 2),
         "controller never moved: {limits:?}"
     );
+    assert!(limits.iter().all(|&l| (1..=32).contains(&l)), "{limits:?}");
     // ...and not pinned itself at the max (the workload degrades hard
     // past ~6, so the controller should live well below 32).
     let tail = &limits[limits.len() / 2..];
@@ -94,27 +100,4 @@ fn control_loop_limits_a_degrading_workload() {
     let stats = cl.gate().stats();
     assert_eq!(stats.in_use, 0);
     assert_eq!(stats.waiting, 0);
-}
-
-#[test]
-fn adaptive_interval_reacts_to_real_rates() {
-    let cl = ControlLoop::new(
-        IncrementalSteps::new(IsParams {
-            initial_bound: 8,
-            max_bound: 16,
-            ..IsParams::default()
-        }),
-        PerfIndicator::Throughput,
-        AdaptiveInterval::new(50, 10.0, 2_000.0, 100.0),
-    );
-    // Feed a burst of completions, then tick: the interval should shrink
-    // toward target/rate (never below min).
-    for _ in 0..500 {
-        let p = cl.admit();
-        cl.complete(0.1);
-        drop(p);
-    }
-    std::thread::sleep(Duration::from_millis(20));
-    let (_, _, next) = cl.tick();
-    assert!((10.0..=2_000.0).contains(&next));
 }
