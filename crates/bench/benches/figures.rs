@@ -1,6 +1,7 @@
-//! One bench per paper artifact: regenerates each figure at Quick scale
-//! so the full pipeline (simulate → measure → control → report) is
-//! exercised and timed by `cargo bench`.
+//! One bench per `repro` experiment: regenerates each at Quick scale so
+//! the report pipeline is exercised and timed by `cargo bench`. The
+//! simulator figures are scenario specs; `scenario run --quick` times
+//! those.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -10,13 +11,6 @@ fn bench_figures(c: &mut Criterion) {
     let mut g = c.benchmark_group("figure_regeneration_quick");
     g.sample_size(10);
 
-    g.bench_function("fig01_thrashing_curve", |b| {
-        b.iter(|| figures::fig01(Scale::Quick))
-    });
-    g.bench_function("fig02_surface", |b| b.iter(|| figures::fig02(Scale::Quick)));
-    g.bench_function("fig03_is_trajectory", |b| {
-        b.iter(|| figures::fig03(Scale::Quick, None))
-    });
     g.bench_function("fig04_pa_fit", |b| b.iter(|| figures::fig04(Scale::Quick)));
     g.bench_function("fig06_memory_shapes", |b| {
         b.iter(|| figures::fig06(Scale::Quick))
@@ -27,27 +21,11 @@ fn bench_figures(c: &mut Criterion) {
     g.bench_function("fig08_abrupt_change", |b| {
         b.iter(|| figures::fig08(Scale::Quick, None))
     });
-    g.bench_function("sec6_indicators", |b| b.iter(|| figures::sec6(Scale::Quick)));
-    g.bench_function("fig12_with_without_control", |b| {
-        b.iter(|| figures::fig12(Scale::Quick))
+    g.bench_function("abl_is_failure", |b| {
+        b.iter(|| figures::abl_is_failure(Scale::Quick))
     });
-    g.bench_function("fig13_is_jump", |b| {
-        b.iter(|| figures::fig13(Scale::Quick, None))
-    });
-    g.bench_function("fig14_pa_jump", |b| {
-        b.iter(|| figures::fig14(Scale::Quick, None))
-    });
-    g.bench_function("sinus_tracking", |b| {
-        b.iter(|| figures::sinus(Scale::Quick, None))
-    });
-    g.bench_function("abl_restart_policies", |b| {
-        b.iter(|| figures::abl_restart(Scale::Quick))
-    });
-    g.bench_function("abl_hotspot_skew", |b| {
-        b.iter(|| figures::abl_hotspot(Scale::Quick))
-    });
-    g.bench_function("abl_open_arrivals", |b| {
-        b.iter(|| figures::abl_open(Scale::Quick))
+    g.bench_function("abl_interval_sizing", |b| {
+        b.iter(|| figures::abl_interval(Scale::Quick))
     });
     g.finish();
 }

@@ -1,8 +1,10 @@
-//! `repro` — regenerates every figure of Heiss & Wagner (VLDB 1991).
+//! `repro` — regenerates the figures of Heiss & Wagner (VLDB 1991) that
+//! are not simulator runs (the simulator figures are scenario specs:
+//! `scenario run scenarios/<id>.json`).
 //!
 //! ```text
 //! repro [--quick] [--out DIR] all
-//! repro [--quick] [--out DIR] fig01 fig12 abl-rules …
+//! repro [--quick] [--out DIR] fig04 fig07 …
 //! repro list
 //! ```
 //!
@@ -29,7 +31,7 @@ struct RunManifest {
 use figures::catalog;
 
 fn usage() {
-    println!("usage: repro [--quick] [--out DIR] <all | list | fig01 fig12 ...>");
+    println!("usage: repro [--quick] [--out DIR] <all | list | fig04 fig07 ...>");
     println!();
     println!("  --quick      CI-scale configuration (seconds instead of minutes)");
     println!("  --out DIR    CSV output directory (default: results/)");

@@ -1,70 +1,16 @@
-//! Ablation experiments for the design choices DESIGN.md calls out.
-//!
-//! Most of the ablation suite now lives as declarative scenario specs
-//! under `scenarios/` (`abl-dither`, `abl-alpha`, `abl-displacement`,
-//! `abl-rules`, `abl-cc`, `abl-victim`, `abl-hybrid`), pinned
-//! byte-identical to the pre-port goldens by
-//! `crates/scenario/tests/golden_port.rs`. This module keeps only the
-//! experiments the DSL has no business expressing: the synthetic-surface
-//! IS failure study, the Monte-Carlo interval-sizing check, and the
-//! ablations over knobs without a spec-level axis.
+//! Ablations without the simulator: the synthetic-surface IS failure
+//! study (§5.1) and the Monte-Carlo interval-sizing check (§5). Every
+//! ablation that runs the engine is a scenario spec under `scenarios/`.
 
 use alc_analytic::surface::{RidgeSurface, Schedule, Surface};
-use alc_core::controller::{IncrementalSteps, IsParams, LoadController as _, ParabolaApproximation};
+use alc_core::controller::{IncrementalSteps, IsParams, LoadController as _};
 use alc_core::measure::Measurement;
-use alc_tpsim::config::{ArrivalProcess, CcKind, SystemConfig};
-use alc_tpsim::experiment::run_trajectory;
-use alc_tpsim::workload::WorkloadConfig;
-use rayon::prelude::*;
 
 use crate::report::Report;
 use crate::table::num;
 use crate::Scale;
 
-use super::{control, is_params, max_bound, pa_params, sweep_horizon, system};
-
-/// Restart-policy ablation: resampled vs identical access sets.
-pub fn abl_restart(scale: Scale) -> Report {
-    let mut sys = system(scale, 400, 0xAB3);
-    // Crank contention up so restarts matter.
-    sys.db_size /= 4;
-    let workload = WorkloadConfig {
-        write_frac: Schedule::Constant(0.6),
-        query_frac: Schedule::Constant(0.0),
-        ..WorkloadConfig::default()
-    };
-    let ctl = control(scale);
-    let horizon = sweep_horizon(scale);
-    let bound = max_bound(scale) / 4;
-
-    let mut r = Report::new(
-        "abl-restart",
-        "Restart policy: fresh access set vs identical retry under high contention",
-        &["resample_on_restart", "throughput_per_s", "abort_ratio", "conflicts_per_commit"],
-    );
-    for resample in [true, false] {
-        let sys = SystemConfig {
-            resample_on_restart: resample,
-            ..sys
-        };
-        let stats = alc_tpsim::experiment::stationary_run(
-            &sys,
-            &workload,
-            CcKind::Certification,
-            bound,
-            &ctl,
-            horizon,
-        );
-        r.push_row(vec![
-            resample.to_string(),
-            num(stats.throughput_per_sec),
-            num(stats.abort_ratio),
-            num(stats.conflicts_per_commit),
-        ]);
-    }
-    r.note("with uniform access and no hot spots the difference is modest (conflicts are not item-bound); the knob matters for skewed workloads and is exposed for them");
-    r
-}
+use super::is_params;
 
 /// The §5.1 IS failure mode: a growing optimum height in place lures IS
 /// away; static bounds rescue it.
@@ -113,147 +59,6 @@ pub fn abl_is_failure(scale: Scale) -> Report {
         ]);
     }
     r.note("with a loose bound IS 'thinks to be on the way to the top, but actually goes astray' (§5.1) — the rising height makes every step look like an improvement; the tight static bound caps the excursion, exactly the countermeasure the paper mandates");
-    r
-}
-
-/// Hot-spot extension: the paper's model excludes hot spots ("the data
-/// items are selected randomly, i.e. no hot spots"). With Zipf-skewed
-/// access the effective database shrinks, the optimum moves down and in —
-/// and the feedback controllers keep tracking it without re-tuning.
-pub fn abl_hotspot(scale: Scale) -> Report {
-    let sys = system(scale, 600, 0xAB8);
-    let ctl = control(scale);
-    let horizon = sweep_horizon(scale);
-    let nmax = max_bound(scale);
-
-    let mut r = Report::new(
-        "abl-hotspot",
-        "Zipf access skew: optimum shift and controller tracking (hot-spot extension)",
-        &[
-            "skew_theta",
-            "effective_db",
-            "analytic_opt",
-            "T_at_analytic_opt",
-            "T_with_PA",
-            "PA_mean_bound",
-        ],
-    );
-    for theta in [0.0, 0.5, 0.8, 1.1] {
-        let workload = WorkloadConfig {
-            access_skew: Schedule::Constant(theta),
-            ..WorkloadConfig::default()
-        };
-        let eff = alc_analytic::occ::effective_db_size(sys.db_size, theta);
-        let opt = workload.analytic_optimum(0.0, &sys, nmax);
-        let fixed_at_opt = alc_tpsim::experiment::stationary_run(
-            &sys,
-            &workload,
-            CcKind::Certification,
-            opt,
-            &ctl,
-            horizon,
-        );
-        let pa = ParabolaApproximation::new(pa_params(scale));
-        let (pa_stats, _) = run_trajectory(
-            &sys,
-            &workload,
-            CcKind::Certification,
-            &ctl,
-            Box::new(pa),
-            horizon,
-            false,
-        );
-        r.push_row(vec![
-            num(theta),
-            num(eff),
-            opt.to_string(),
-            num(fixed_at_opt.throughput_per_sec),
-            num(pa_stats.throughput_per_sec),
-            num(pa_stats.mean_bound),
-        ]);
-    }
-    r.note("skew shrinks the effective database (1/Σp²) by up to ~100×, collapsing the achievable peak; under self-limiting certification the optimum's *position* stays near the resource knee while its *height* falls");
-    r.note("PA lands within ~2% of the per-skew optimal throughput without any knowledge of the skew — the model-independence argument extended past the paper's uniform-access assumption");
-    r
-}
-
-/// Open-arrival extension: the paper's model is closed (terminals with
-/// think time bound the load by construction); real admission control
-/// faces an *open* stream whose offered rate answers to nobody. Sweep the
-/// offered load across the capacity and compare uncontrolled admission
-/// against the PA-adapted gate.
-pub fn abl_open(scale: Scale) -> Report {
-    let horizon = sweep_horizon(scale);
-    let slots = scale.pick(800, 80);
-    let sys_base = system(scale, slots, 0xABA);
-    let workload = WorkloadConfig {
-        write_frac: Schedule::Constant(0.5),
-        query_frac: Schedule::Constant(0.1),
-        ..WorkloadConfig::default()
-    };
-    let ctl = control(scale);
-    // Offered rates bracketing the (closed-model) peak throughput.
-    let rates_per_s: Vec<f64> = match scale {
-        Scale::Full => vec![50.0, 100.0, 150.0, 200.0, 300.0, 400.0],
-        Scale::Quick => vec![20.0, 40.0, 80.0, 160.0],
-    };
-
-    let mut r = Report::new(
-        "abl-open",
-        "Open arrivals (extension): goodput and loss vs offered load, with and without control",
-        &[
-            "offered_per_s",
-            "T_uncontrolled",
-            "T_with_PA",
-            "resp_uncontrolled_ms",
-            "resp_PA_ms",
-            "lost_uncontrolled",
-            "lost_PA",
-        ],
-    );
-    // Each offered rate is a pair of independent runs — fan the rates out.
-    let results: Vec<_> = rates_per_s
-        .par_iter()
-        .map(|&rate| {
-            let sys = SystemConfig {
-                arrival: ArrivalProcess::Open {
-                    interarrival: alc_des::dist::Dist::exponential(1000.0 / rate),
-                },
-                ..sys_base
-            };
-            let uncontrolled = alc_tpsim::experiment::stationary_run(
-                &sys,
-                &workload,
-                CcKind::Certification,
-                u32::MAX,
-                &ctl,
-                horizon,
-            );
-            let pa = ParabolaApproximation::new(pa_params(scale));
-            let (with_pa, _) = run_trajectory(
-                &sys,
-                &workload,
-                CcKind::Certification,
-                &ctl,
-                Box::new(pa),
-                horizon,
-                false,
-            );
-            (rate, uncontrolled, with_pa)
-        })
-        .collect();
-    for (rate, uncontrolled, with_pa) in results {
-        r.push_row(vec![
-            num(rate),
-            num(uncontrolled.throughput_per_sec),
-            num(with_pa.throughput_per_sec),
-            num(uncontrolled.mean_response_ms),
-            num(with_pa.mean_response_ms),
-            uncontrolled.lost.to_string(),
-            with_pa.lost.to_string(),
-        ]);
-    }
-    r.note("below capacity the gate is invisible (same goodput, same response); past it the uncontrolled system converts concurrency into aborted work and collapses, while the controlled one holds goodput near the closed-model peak and sheds the excess as queueing + loss — the open-system case for admission control that the closed model can only hint at");
     r
 }
 

@@ -1,14 +1,17 @@
-//! One runner per paper artifact. See DESIGN.md §3 for the experiment
-//! index mapping each `figXX` id to the paper's figure and EXPERIMENTS.md
-//! for recorded paper-vs-measured outcomes.
+//! The paper artifacts that are not simulator runs: the Parabola
+//! Approximation's fit (Fig. 4), the estimator's memory shapes (Fig. 6),
+//! the PA pathologies on synthetic surfaces (Figs. 7/8), the §5.1 IS
+//! failure study and the §5 interval-sizing check. Every simulator
+//! figure is a scenario spec under `scenarios/` (see the README's
+//! figure index).
 
 mod ablation;
 mod dynamic;
 mod stationary;
 
-pub use ablation::{abl_hotspot, abl_interval, abl_is_failure, abl_open, abl_restart};
-pub use dynamic::{fig03, fig07, fig08, fig13, fig14, sinus};
-pub use stationary::{fig01, fig02, fig04, fig06, fig12, sec6};
+pub use ablation::{abl_interval, abl_is_failure};
+pub use dynamic::{fig07, fig08};
+pub use stationary::{fig04, fig06};
 
 use alc_core::controller::{IsParams, PaParams};
 use alc_tpsim::config::{ControlConfig, SystemConfig};
@@ -20,50 +23,27 @@ use crate::Scale;
 /// trajectory CSVs, returns the printable/storable report.
 pub type Runner = fn(Scale, Option<&std::path::Path>) -> Report;
 
-/// The experiment catalog: `(id, title, runner)` for every figure and
-/// ablation the `repro` binary can regenerate. Shared between the CLI and
-/// the golden determinism tests so the two can never drift apart.
+/// The experiment catalog: `(id, title, runner)` for every experiment
+/// the `repro` binary can regenerate. Shared between the CLI and the
+/// golden determinism tests so the two can never drift apart.
 pub fn catalog() -> Vec<(&'static str, &'static str, Runner)> {
     vec![
-        ("fig01", "load–throughput function with thrashing", |s, _| {
-            fig01(s)
-        }),
-        ("fig02", "performance surface P(n,t) under sinusoidal k", |s, _| {
-            fig02(s)
-        }),
-        ("fig03", "IS zig-zag trajectory (stationary)", fig03),
         ("fig04", "PA parabola fit vs true curve", |s, _| fig04(s)),
         ("fig06", "estimator memory shapes", |s, _| fig06(s)),
         ("fig07", "flat-hump pathology + fallbacks", fig07),
         ("fig08", "abrupt shape change + covariance reset", fig08),
-        ("sec6", "overload indicator comparison", |s, _| sec6(s)),
-        ("fig12", "throughput with vs without control", |s, _| fig12(s)),
-        ("fig13", "IS trajectory under optimum jump", fig13),
-        ("fig14", "PA trajectory under optimum jump", fig14),
-        ("sinus", "sinusoidal workload tracking", sinus),
-        // The ported ablations (abl-dither/alpha/displacement/rules/cc/
-        // victim/hybrid) run via `scenario run scenarios/abl-*.json`;
-        // their goldens are pinned by the scenario golden-port tests.
-        ("abl-restart", "restart resampling ablation", |s, _| {
-            abl_restart(s)
-        }),
         ("abl-is-failure", "IS growing-height failure (§5.1)", |s, _| {
             abl_is_failure(s)
         }),
-        ("abl-hotspot", "Zipf hot-spot extension", |s, _| abl_hotspot(s)),
         ("abl-interval", "§5 interval sizing + CI coverage", |s, _| {
             abl_interval(s)
-        }),
-        ("abl-open", "open arrivals: goodput/loss vs offered load", |s, _| {
-            abl_open(s)
         }),
     ]
 }
 
-/// The paper-scale physical configuration (calibration documented in
-/// DESIGN.md: Yu-et-al. trace parameters are not public, so values are
-/// chosen to land the optimum MPL in the low hundreds with a load axis to
-/// 800, matching the figures' axes).
+/// The paper-scale physical configuration: `SystemConfig::default()`
+/// (its calibration is documented on `alc_tpsim::config`) with the given
+/// terminal count and seed.
 pub fn paper_system(terminals: u32, seed: u64) -> SystemConfig {
     SystemConfig {
         terminals,
@@ -136,9 +116,4 @@ pub fn pa_params(scale: Scale) -> PaParams {
         warmup_step: scale.pick_ms(8.0, 2.0),
         ..PaParams::default()
     }
-}
-
-/// Simulation horizon for stationary sweeps.
-pub fn sweep_horizon(scale: Scale) -> f64 {
-    scale.pick_ms(140_000.0, 8_000.0)
 }

@@ -1,22 +1,20 @@
-//! Stationary experiments: Figures 1, 2, 4, 6, 12 and the §6 indicator
-//! comparison.
+//! Stationary experiments without the simulator: the Parabola
+//! Approximation's fit (Fig. 4) and the estimator's memory shapes
+//! (Fig. 6).
 
-use alc_core::controller::{IncrementalSteps, LoadController, ParabolaApproximation};
+use alc_core::controller::{LoadController, ParabolaApproximation};
 use alc_core::estimator::rls::{memory_area, memory_weight};
 use alc_core::measure::Measurement;
-use alc_tpsim::config::CcKind;
-use alc_tpsim::experiment::{sweep_bounds, sweep_terminals};
 use alc_tpsim::workload::WorkloadConfig;
-use rayon::prelude::*;
 
-use crate::plot;
 use crate::report::Report;
 use crate::table::num;
 use crate::Scale;
 
-use super::{control, is_params, max_bound, pa_params, sweep_horizon, system};
+use super::{max_bound, pa_params, system};
 
-/// The standard bound grid of the stationary sweeps.
+/// The MPL grid Figure 4 compares the fit on (the `fig01` spec's bound
+/// grid).
 fn bound_grid(scale: Scale) -> Vec<u32> {
     match scale {
         Scale::Full => vec![
@@ -24,143 +22,6 @@ fn bound_grid(scale: Scale) -> Vec<u32> {
         ],
         Scale::Quick => vec![2, 5, 10, 20, 40],
     }
-}
-
-/// Figure 1: the load–throughput function with its three phases
-/// (underload, saturation, overload/thrashing), produced by sweeping a
-/// fixed MPL bound on the saturated closed system.
-pub fn fig01(scale: Scale) -> Report {
-    let sys = system(scale, 800, 0xF1601);
-    let ctl = control(scale);
-    let grid = bound_grid(scale);
-    let pts = sweep_bounds(
-        &sys,
-        &WorkloadConfig::default(),
-        CcKind::Certification,
-        &grid,
-        &ctl,
-        sweep_horizon(scale),
-    );
-
-    let mut r = Report::new(
-        "fig01",
-        "Load–throughput function with thrashing (underload / saturation / overload)",
-        &[
-            "mpl_bound",
-            "throughput_per_s",
-            "response_ms",
-            "abort_ratio",
-            "mean_mpl",
-            "cpu_util",
-        ],
-    );
-    for p in &pts {
-        r.push_row(vec![
-            p.x.to_string(),
-            num(p.stats.throughput_per_sec),
-            num(p.stats.mean_response_ms),
-            num(p.stats.abort_ratio),
-            num(p.stats.mean_mpl),
-            num(p.stats.cpu_utilization),
-        ]);
-    }
-    let mut curve_series = alc_des::series::TimeSeries::new("throughput");
-    for p in &pts {
-        curve_series.push(alc_des::SimTime::new(f64::from(p.x)), p.stats.throughput_per_sec);
-    }
-    r.chart(plot::curve(&[("throughput tx/s", &curve_series)], 96, 14, "MPL"));
-    let peak = pts
-        .iter()
-        .max_by(|a, b| {
-            a.stats
-                .throughput_per_sec
-                .total_cmp(&b.stats.throughput_per_sec)
-        })
-        .expect("non-empty sweep");
-    let last = pts.last().expect("non-empty sweep");
-    r.note(format!(
-        "peak throughput {} tx/s at MPL bound {} (the paper's n_opt)",
-        num(peak.stats.throughput_per_sec),
-        peak.x
-    ));
-    r.note(format!(
-        "thrashing: at bound {} throughput falls to {} tx/s ({}% of peak) — the paper's phase III drop",
-        last.x,
-        num(last.stats.throughput_per_sec),
-        num(100.0 * last.stats.throughput_per_sec / peak.stats.throughput_per_sec)
-    ));
-    r
-}
-
-/// Figure 2: the time-varying performance "mountain" P(n, t): one
-/// stationary sweep per time slice of a sinusoidal k(t) workload.
-pub fn fig02(scale: Scale) -> Report {
-    let period = scale.pick_ms(400_000.0, 8_000.0);
-    let workload = WorkloadConfig::k_sinusoid(10.0, 4.0, period);
-    let sys = system(scale, 800, 0xF1602);
-    let ctl = control(scale);
-    let grid = bound_grid(scale);
-    let slices = match scale {
-        Scale::Full => vec![0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875],
-        Scale::Quick => vec![0.0, 0.5],
-    };
-
-    let mut headers = vec!["mpl_bound".to_string()];
-    for s in &slices {
-        headers.push(format!("T_at_t={}s", num(s * period / 1000.0)));
-    }
-    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let mut r = Report::new(
-        "fig02",
-        "Dynamic behaviour: the performance surface P(n, t) under sinusoidal k(t)",
-        &header_refs,
-    );
-
-    // One frozen-workload sweep per slice; slices are independent runs,
-    // so fan them out (each inner sweep parallelizes its bounds too).
-    let columns: Vec<_> = slices
-        .par_iter()
-        .map(|s| {
-            let frozen = WorkloadConfig {
-                k: alc_analytic::surface::Schedule::Constant(workload.at(s * period).k as f64),
-                ..WorkloadConfig::default()
-            };
-            sweep_bounds(
-                &sys,
-                &frozen,
-                CcKind::Certification,
-                &grid,
-                &ctl,
-                sweep_horizon(scale) * 0.5,
-            )
-        })
-        .collect();
-    for (i, &b) in grid.iter().enumerate() {
-        let mut row = vec![b.to_string()];
-        for col in &columns {
-            row.push(num(col[i].stats.throughput_per_sec));
-        }
-        r.push_row(row);
-    }
-    // Where does the ridge sit per slice?
-    let ridge: Vec<String> = columns
-        .iter()
-        .zip(&slices)
-        .map(|(col, s)| {
-            let peak = col
-                .iter()
-                .max_by(|a, b| {
-                    a.stats
-                        .throughput_per_sec
-                        .total_cmp(&b.stats.throughput_per_sec)
-                })
-                .expect("non-empty column");
-            format!("t={}s→n_opt≈{}", num(s * period / 1000.0), peak.x)
-        })
-        .collect();
-    r.note(format!("ridge trajectory: {}", ridge.join(", ")));
-    r.note("the optimum position moves with k(t): the 'mountain ridge' the controller must track (paper Fig. 2)");
-    r
 }
 
 /// Figure 4: the Parabola Approximation's fit against the true overload
@@ -241,199 +102,5 @@ pub fn fig06(_scale: Scale) -> Report {
         num(memory_area(0.8, 1000))
     ));
     r.note("the paper's conclusion (§5.2): prefer small Δt with large α — newest data dominates, yet history still stabilizes the fit");
-    r
-}
-
-/// Figure 12: stationary throughput with and without load control across
-/// offered loads 100..800 (the paper's headline stationary result).
-pub fn fig12(scale: Scale) -> Report {
-    let terminals: Vec<u32> = match scale {
-        Scale::Full => (1..=8).map(|i| i * 100).collect(),
-        Scale::Quick => vec![10, 25, 40],
-    };
-    let sys = system(scale, 800, 0xF1612);
-    let workload = WorkloadConfig::default();
-    let ctl = control(scale);
-    let horizon = sweep_horizon(scale);
-
-    let uncontrolled = sweep_terminals(
-        &sys,
-        &workload,
-        CcKind::Certification,
-        &terminals,
-        &alc_tpsim::config::ControlConfig {
-            initial_bound: u32::MAX,
-            ..ctl
-        },
-        None,
-        horizon,
-    );
-    let mut mk_pa = || -> Box<dyn LoadController> {
-        Box::new(ParabolaApproximation::new(pa_params(scale)))
-    };
-    let pa = sweep_terminals(
-        &sys,
-        &workload,
-        CcKind::Certification,
-        &terminals,
-        &ctl,
-        Some(&mut mk_pa),
-        horizon,
-    );
-    let mut mk_is = || -> Box<dyn LoadController> {
-        Box::new(IncrementalSteps::new(is_params(scale)))
-    };
-    let is = sweep_terminals(
-        &sys,
-        &workload,
-        CcKind::Certification,
-        &terminals,
-        &ctl,
-        Some(&mut mk_is),
-        horizon,
-    );
-
-    let mut r = Report::new(
-        "fig12",
-        "System throughput with and without control in the stationary case",
-        &[
-            "offered_load_N",
-            "T_without_control",
-            "T_with_PA",
-            "T_with_IS",
-            "mpl_without",
-            "bound_PA",
-        ],
-    );
-    for i in 0..terminals.len() {
-        r.push_row(vec![
-            terminals[i].to_string(),
-            num(uncontrolled[i].stats.throughput_per_sec),
-            num(pa[i].stats.throughput_per_sec),
-            num(is[i].stats.throughput_per_sec),
-            num(uncontrolled[i].stats.mean_mpl),
-            num(pa[i].stats.mean_bound),
-        ]);
-    }
-    let mut unc_curve = alc_des::series::TimeSeries::new("uncontrolled");
-    let mut pa_curve = alc_des::series::TimeSeries::new("PA");
-    for i in 0..terminals.len() {
-        let x = alc_des::SimTime::new(f64::from(terminals[i]));
-        unc_curve.push(x, uncontrolled[i].stats.throughput_per_sec);
-        pa_curve.push(x, pa[i].stats.throughput_per_sec);
-    }
-    r.chart(plot::curve(
-        &[("with control (PA)", &pa_curve), ("without control", &unc_curve)],
-        96,
-        14,
-        "terminals",
-    ));
-    let unc_max = uncontrolled
-        .iter()
-        .map(|p| p.stats.throughput_per_sec)
-        .fold(f64::MIN, f64::max);
-    let unc_last = uncontrolled.last().expect("non-empty").stats.throughput_per_sec;
-    let pa_last = pa.last().expect("non-empty").stats.throughput_per_sec;
-    let is_last = is.last().expect("non-empty").stats.throughput_per_sec;
-    r.note(format!(
-        "without control: peaks at {} tx/s, then thrashes to {} tx/s at the highest load ({}% of peak)",
-        num(unc_max),
-        num(unc_last),
-        num(100.0 * unc_last / unc_max)
-    ));
-    r.note(format!(
-        "with control: PA holds {} tx/s and IS {} tx/s at the highest load ({}% / {}% of the uncontrolled peak) — 'both algorithms had the desired property to keep the load at the point of optimum throughput'",
-        num(pa_last),
-        num(is_last),
-        num(100.0 * pa_last / unc_max),
-        num(100.0 * is_last / unc_max)
-    ));
-    r.note(format!(
-        "PA vs IS difference at the highest load: {}% — 'the difference between PA and IS was insignificant in this case'",
-        num(100.0 * (pa_last - is_last).abs() / pa_last.max(is_last))
-    ));
-    r
-}
-
-/// §6: which performance indicator has the most distinct extremum? The
-/// paper concluded for throughput; this experiment reproduces the
-/// comparison over the stationary bound sweep.
-pub fn sec6(scale: Scale) -> Report {
-    let sys = system(scale, 800, 0xF1606);
-    let ctl = control(scale);
-    let grid = bound_grid(scale);
-    let pts = sweep_bounds(
-        &sys,
-        &WorkloadConfig::default(),
-        CcKind::Certification,
-        &grid,
-        &ctl,
-        sweep_horizon(scale),
-    );
-
-    // Indicator curves over the sweep (all "larger is better").
-    let curves: Vec<(&str, Vec<f64>)> = vec![
-        (
-            "throughput",
-            pts.iter().map(|p| p.stats.throughput_per_sec).collect(),
-        ),
-        (
-            "inv_response",
-            pts.iter()
-                .map(|p| {
-                    if p.stats.mean_response_ms > 0.0 {
-                        1000.0 / p.stats.mean_response_ms
-                    } else {
-                        0.0
-                    }
-                })
-                .collect(),
-        ),
-        (
-            "eff_throughput",
-            pts.iter()
-                .map(|p| p.stats.throughput_per_sec * (1.0 - p.stats.abort_ratio))
-                .collect(),
-        ),
-        (
-            "neg_conflicts",
-            pts.iter().map(|p| -p.stats.conflicts_per_commit).collect(),
-        ),
-    ];
-
-    let mut r = Report::new(
-        "sec6",
-        "Overload-indicator comparison (§6): distinctness of each indicator's extremum",
-        &["indicator", "argmax_bound", "left_prominence_%", "right_prominence_%"],
-    );
-    for (name, ys) in &curves {
-        let (imax, &ymax) = ys
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .expect("non-empty");
-        // Prominence on each side: relative drop from the peak to the
-        // curve ends. An indicator with a distinct interior maximum drops
-        // on BOTH sides; a monotone one has ~0 prominence on one side.
-        let span = ys.iter().fold(f64::MIN, |a, &b| a.max(b))
-            - ys.iter().fold(f64::MAX, |a, &b| a.min(b));
-        let left = if span > 0.0 {
-            100.0 * (ymax - ys[0]) / span
-        } else {
-            0.0
-        };
-        let right = if span > 0.0 {
-            100.0 * (ymax - ys[ys.len() - 1]) / span
-        } else {
-            0.0
-        };
-        r.push_row(vec![
-            name.to_string(),
-            grid[imax].to_string(),
-            num(left),
-            num(right),
-        ]);
-    }
-    r.note("throughput shows high prominence on BOTH flanks (a distinct interior maximum); inverse response time is monotone (left prominence ≈ 0) and negated conflict rate peaks at minimal load — matching the paper's §6 choice: 'the throughput T turned out to be the most significant indicator'");
     r
 }

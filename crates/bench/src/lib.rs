@@ -1,12 +1,14 @@
-//! `alc-bench` — the experiment harness that regenerates every figure of
-//! Heiss & Wagner (VLDB 1991), plus shared helpers for the Criterion
+//! `alc-bench` — the report/table layer shared with the scenario
+//! runner, the `repro` harness for the paper artifacts that are not
+//! simulator runs, the calendar performance gate, and the Criterion
 //! microbenchmarks.
 //!
-//! Each `figXX`/ablation experiment lives in [`figures`] as a pure
-//! function returning a [`report::Report`]; the `repro` binary prints it
-//! and writes `results/<id>.csv`. The [`Scale`] knob switches between the
-//! paper-scale configuration (release-mode runs, seconds each) and a
-//! down-scaled smoke configuration used by benches and CI tests.
+//! Each `repro` experiment lives in [`figures`] as a pure function
+//! returning a [`report::Report`]; the `repro` binary prints it and
+//! writes `results/<id>.csv`. The simulator figures are scenario specs
+//! under `scenarios/`, run by the `scenario` binary. The [`Scale`] knob
+//! switches between the paper-scale configuration and a down-scaled
+//! smoke configuration used by benches and CI tests.
 
 pub mod baseline;
 pub mod figures;
@@ -17,7 +19,7 @@ pub mod table;
 /// Experiment size: paper-scale or CI-scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// The configuration whose outputs EXPERIMENTS.md records.
+    /// The paper-scale configuration (release-mode runs).
     Full,
     /// A small configuration for smoke tests and Criterion benches.
     Quick,

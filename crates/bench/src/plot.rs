@@ -1,6 +1,5 @@
-//! Terminal rendering of trajectory charts — the paper's Figures 3 and
-//! 13/14 are exactly "bound and optimum over time" plots, so `repro`
-//! draws them next to the summary tables.
+//! Terminal rendering of charts — "bound and optimum over time" plots
+//! like the one `repro` draws next to the Figure 8 summary table.
 
 use alc_des::series::TimeSeries;
 use alc_des::SimTime;

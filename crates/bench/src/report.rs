@@ -2,8 +2,8 @@
 //!
 //! Rendering goes through a single reused `String` per report (one
 //! allocation, one `write_all`) instead of per-cell `format!` calls into
-//! the writer — the sweep binaries emit thousands of rows, and the
-//! output stage should never pay a syscall or realloc per row.
+//! the writer — a scenario sweep emits thousands of rows, and the output
+//! stage should never pay a syscall or realloc per row.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -24,8 +24,8 @@ pub struct Report {
     /// Preformatted charts rendered verbatim between table and notes
     /// (ASCII trajectory plots for the figure experiments).
     pub charts: Vec<String>,
-    /// Headline findings appended under the table — these are the
-    /// paper-vs-measured statements EXPERIMENTS.md quotes.
+    /// Headline findings appended under the table: the paper-vs-measured
+    /// statements.
     pub notes: Vec<String>,
 }
 

@@ -1,11 +1,13 @@
-//! Determinism pin for the simulation hot path.
+//! Determinism pins for the simulation hot path and the `repro` catalog.
 //!
-//! The golden files under `tests/golden/` were generated from the seed
-//! implementation (`BinaryHeap` + cancel-set calendar, `HashMap` lock
-//! table). Any rewrite of the calendar, lock table or engine internals
-//! must keep every figure of the quick catalog and a direct simulator run
-//! per CC protocol **byte-identical** — performance work must never
-//! change a simulation result.
+//! `direct_sim.jsonl` was generated from the seed implementation
+//! (`BinaryHeap` + cancel-set calendar, `HashMap` lock table): any
+//! rewrite of the calendar, lock table or engine internals must keep a
+//! direct simulator run per CC protocol **byte-identical** — performance
+//! work must never change a simulation result. The simulator figures are
+//! scenario specs, pinned by `crates/scenario/tests/golden_port.rs`; the
+//! CSVs here pin the quick `repro` catalog (controllers driven on
+//! analytic and synthetic surfaces, Monte-Carlo interval sizing).
 //!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test -p alc-bench --test golden`
 //! only for changes that intentionally alter simulation behavior, and say
@@ -65,21 +67,10 @@ fn quick_catalog_outputs_are_byte_identical() {
         let actual = fs::read(out.join(name)).expect("read actual csv");
         compare_or_bless(name, &actual);
     }
-    // No golden CSV may be silently dropped by a catalog change either —
-    // except the ablations ported to scenario specs, whose goldens are
-    // now pinned by `crates/scenario/tests/golden_port.rs` instead.
-    const PORTED_TO_SCENARIOS: [&str; 7] = [
-        "abl-dither.csv",
-        "abl-alpha.csv",
-        "abl-displacement.csv",
-        "abl-rules.csv",
-        "abl-cc.csv",
-        "abl-victim.csv",
-        "abl-hybrid.csv",
-    ];
+    // No golden CSV may be silently dropped by a catalog change either.
     for entry in fs::read_dir(golden_dir()).expect("read golden dir") {
         let name = entry.expect("dir entry").file_name().into_string().unwrap();
-        if name.ends_with(".csv") && !PORTED_TO_SCENARIOS.contains(&name.as_str()) {
+        if name.ends_with(".csv") {
             assert!(
                 names.contains(&name),
                 "golden {name} no longer produced by the catalog"

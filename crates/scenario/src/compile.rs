@@ -117,7 +117,7 @@ pub struct VariantPlan {
 
 /// Derives the replication-`r` seed from the spec seed (replication 0 is
 /// the spec seed itself, so single-replication scenarios reproduce the
-/// bespoke figure runs exactly).
+/// recorded figure runs exactly).
 pub fn replication_seed(seed: u64, r: u32) -> u64 {
     seed.wrapping_add(u64::from(r).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }

@@ -25,10 +25,10 @@
 //! scenario list [DIR]
 //! ```
 //!
-//! The checked-in specs under `scenarios/` include ports of the bespoke
-//! dynamic/ablation figure generators; the golden tests pin those ports
-//! byte-identical to the pre-port outputs, proving the DSL subsumes the
-//! hand-written experiments.
+//! The checked-in specs under `scenarios/` include every simulator figure
+//! of the paper and its ablations, which were hand-written Rust
+//! generators before; `tests/golden_port.rs` pins every cell of those
+//! generators' recorded outputs, proving the DSL subsumes them.
 
 pub mod compile;
 pub mod conformance;

@@ -4,8 +4,8 @@
 //! All `(variant, replication)` cells are independent simulator runs, so
 //! they fan out with `rayon` and are collected in input order — parallel
 //! execution is byte-identical to serial (each run is fully determined
-//! by its recorded seed). Trajectory CSVs use the same column set and
-//! naming convention as the bespoke figure generators
+//! by its recorded seed). Trajectory CSVs use the column set and naming
+//! convention the figure goldens were recorded with
 //! (`<name>[_<variant>]_trajectory.csv`, columns `bound, observed_mpl,
 //! throughput, optimum, k`), which is what lets the golden port tests
 //! pin the ported scenarios byte-for-byte against the pre-port outputs.
@@ -180,8 +180,8 @@ fn trajectory_stem(plan: &RunPlan, rec: &RunRecord, replications: usize) -> Stri
     stem
 }
 
-/// Writes the trajectory CSVs of `records` into `dir` (same format as
-/// the figure generators) and returns the file names written.
+/// Writes the trajectory CSVs of `records` into `dir` (the format the
+/// figure goldens were recorded in) and returns the file names written.
 pub fn write_trajectories(
     plan: &RunPlan,
     records: &[RunRecord],

@@ -1,4 +1,4 @@
-//! Experiment runners shared by the figure harness, examples and tests.
+//! Experiment runners shared by the examples and tests.
 //!
 //! Each helper wraps [`Simulator`] with the warm-up / measurement-window
 //! discipline of §9's experiments and returns plain data (no printing —
@@ -6,9 +6,9 @@
 //!
 //! # Parallelism and determinism
 //!
-//! Sweeps and seed replications fan their independent runs out with
-//! `rayon`. Every run is fully determined by its own `(SystemConfig,
-//! WorkloadConfig, CcKind, ControlConfig)` — all RNG streams derive from
+//! Sweeps fan their independent runs out with `rayon`. Every run is
+//! fully determined by its own `(SystemConfig, WorkloadConfig, CcKind,
+//! ControlConfig)` — all RNG streams derive from
 //! `SystemConfig::seed`, nothing is shared between runs, and results are
 //! collected in input order — so parallel and serial execution produce
 //! identical output (`parallel_sweep_matches_serial` below pins this).
@@ -23,7 +23,7 @@ use crate::workload::WorkloadConfig;
 /// One point of a stationary sweep.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SweepPoint {
-    /// The swept value (MPL bound or terminal count, depending on sweep).
+    /// The swept MPL bound.
     pub x: u32,
     /// Steady-state statistics at that point.
     pub stats: RunStats,
@@ -71,65 +71,6 @@ pub fn sweep_bounds(
         .map(|&b| SweepPoint {
             x: b,
             stats: stationary_run(sys, workload, cc, b, control, horizon_ms),
-        })
-        .collect()
-}
-
-/// Replicates one stationary configuration across independent master
-/// seeds, in parallel — the raw material for confidence intervals over
-/// whole runs (batch-of-runs replication, complementing the §5
-/// within-run interval theory).
-///
-/// Results are in `seeds` order; identical to running serially.
-pub fn replicate_seeds(
-    sys: &SystemConfig,
-    workload: &WorkloadConfig,
-    cc: CcKind,
-    bound: u32,
-    control: &ControlConfig,
-    horizon_ms: f64,
-    seeds: &[u64],
-) -> Vec<RunStats> {
-    seeds
-        .par_iter()
-        .map(|&seed| {
-            let sys_seeded = SystemConfig { seed, ..*sys };
-            stationary_run(&sys_seeded, workload, cc, bound, control, horizon_ms)
-        })
-        .collect()
-}
-
-/// Sweeps the offered load (terminal count) with a controller factory —
-/// `None` builds the uncontrolled system. This is Figure 12's experiment:
-/// "for different levels of concurrency a stationary simulation run was
-/// conducted", with and without control.
-///
-/// Stays serial: the `FnMut` factory is stateful by contract (callers may
-/// count or vary the controllers they hand out), so invocation order is
-/// part of the public API.
-pub fn sweep_terminals(
-    sys: &SystemConfig,
-    workload: &WorkloadConfig,
-    cc: CcKind,
-    terminals: &[u32],
-    control: &ControlConfig,
-    mut controller: Option<&mut dyn FnMut() -> Box<dyn LoadController>>,
-    horizon_ms: f64,
-) -> Vec<SweepPoint> {
-    terminals
-        .iter()
-        .map(|&n| {
-            let sys_n = SystemConfig {
-                terminals: n,
-                ..*sys
-            };
-            let ctrl = controller.as_mut().map(|f| f());
-            let mut sim = Simulator::new(sys_n, workload.clone(), cc, *control, ctrl);
-            sim.set_record_optimum(false);
-            SweepPoint {
-                x: n,
-                stats: sim.run(horizon_ms),
-            }
         })
         .collect()
 }
@@ -227,68 +168,6 @@ mod tests {
             })
             .collect();
         assert_eq!(parallel, serial);
-    }
-
-    #[test]
-    fn replicate_seeds_is_deterministic_and_seed_sensitive() {
-        let seeds = [1u64, 2, 3, 4];
-        let run = || {
-            replicate_seeds(
-                &sys(),
-                &WorkloadConfig::default(),
-                CcKind::Certification,
-                8,
-                &quick_control(),
-                8_000.0,
-                &seeds,
-            )
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same seeds must reproduce identical statistics");
-        assert_eq!(a.len(), seeds.len());
-        assert!(a.iter().all(|s| s.commits > 0));
-        // Different seeds give different realizations.
-        assert!(
-            a.windows(2).any(|w| w[0] != w[1]),
-            "independent seeds produced identical runs"
-        );
-    }
-
-    #[test]
-    fn sweep_terminals_with_and_without_control() {
-        let terminals = [10, 30];
-        let uncontrolled = sweep_terminals(
-            &sys(),
-            &WorkloadConfig::default(),
-            CcKind::Certification,
-            &terminals,
-            &ControlConfig {
-                initial_bound: u32::MAX,
-                ..quick_control()
-            },
-            None,
-            10_000.0,
-        );
-        let mut build = || -> Box<dyn LoadController> {
-            Box::new(IncrementalSteps::new(IsParams {
-                initial_bound: 8,
-                max_bound: 64,
-                ..IsParams::default()
-            }))
-        };
-        let controlled = sweep_terminals(
-            &sys(),
-            &WorkloadConfig::default(),
-            CcKind::Certification,
-            &terminals,
-            &quick_control(),
-            Some(&mut build),
-            10_000.0,
-        );
-        assert_eq!(uncontrolled.len(), 2);
-        assert_eq!(controlled.len(), 2);
-        assert!(controlled.iter().all(|p| p.stats.commits > 0));
     }
 
     #[test]
