@@ -21,12 +21,43 @@
 //! * **RAII permits**: dropping a [`Permit`]/[`OwnedPermit`] releases the
 //!   slot, so a panicking worker cannot leak MPL capacity.
 //! * **Wait statistics** for the measurement pipeline.
+//!
+//! # Shape: an atomic word in front, a locked queue behind
+//!
+//! `n*` and `n` live in one packed `AtomicU64` (`limit << 32 | in_use`),
+//! beside an atomic count of queued waiters. While nobody is queued, an
+//! admission is one compare-and-swap that raises `in_use` if it is below
+//! `limit`, and a release is one `fetch_sub`; neither touches the mutex
+//! or the condition variable. The entry CAS refuses while any waiter is
+//! queued, so a newcomer never overtakes the queue and FCFS holds. Only
+//! an arrival that finds the gate full takes the mutex: it draws a
+//! ticket, and the ticket queue, the abandonment set and the wait
+//! statistics all live under that mutex, on the queued path only.
+//!
+//! # Why no wakeup is lost
+//!
+//! A waiter increments the waiter count *under the mutex* and only then
+//! makes its final capacity check, still under the mutex, before it
+//! parks on the condition variable (which releases the mutex atomically).
+//! A releaser (or `set_limit`) first changes the word and then reads the
+//! waiter count; if it is non-zero it takes the mutex and notifies under
+//! it. All four accesses are `SeqCst`, so of "waiter bumps the count,
+//! then reads the word" and "releaser writes the word, then reads the
+//! count" at least one side sees the other's write. Either the waiter
+//! sees the freed slot and never parks, or the releaser sees the waiter.
+//! In the second case the releaser's lock acquisition orders after the
+//! waiter's critical section, which ends only when the waiter is parked
+//! or admitted, so the notification cannot fall into the gap between
+//! the check and the park. Queue hand-offs (an admitted or abandoning
+//! head makes the next ticket the head) happen under the mutex and
+//! notify before it is released.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// Snapshot of the gate's counters.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -41,52 +72,65 @@ pub struct GateStats {
     pub total_admitted: u64,
     /// Acquisitions abandoned (timeout) since construction.
     pub total_abandoned: u64,
-    /// Mean time admitted arrivals spent queued, milliseconds.
+    /// Mean time admitted arrivals spent queued, milliseconds (over all
+    /// admissions; one that never queued waited zero).
     pub mean_wait_ms: f64,
 }
 
-#[derive(Debug)]
-struct State {
-    limit: u32,
-    in_use: u32,
-    next_ticket: u64,
-    serving: u64,
-    abandoned: HashSet<u64>,
-    waiting: u32,
-    total_admitted: u64,
-    total_abandoned: u64,
-    wait_sum_ms: f64,
-    wait_count: u64,
+/// The low half of the packed word: permits held.
+const IN_USE: u64 = u32::MAX as u64;
+
+fn limit_of(word: u64) -> u32 {
+    (word >> 32) as u32
 }
 
-impl State {
-    /// Skips over tickets whose owners gave up so the queue never stalls
-    /// behind a ghost.
-    fn advance_past_abandoned(&mut self) {
+fn in_use_of(word: u64) -> u32 {
+    (word & IN_USE) as u32
+}
+
+/// `word` with one more permit held, if `in_use < limit`.
+fn with_one_more(word: u64) -> Option<u64> {
+    (in_use_of(word) < limit_of(word)).then_some(word + 1)
+}
+
+/// The queued path's state; only arrivals that found the gate full touch
+/// it.
+#[derive(Debug, Default)]
+struct Queue {
+    next_ticket: u64,
+    /// The head's ticket. Between critical sections it is either
+    /// `next_ticket` (queue empty) or a live waiter's ticket.
+    serving: u64,
+    abandoned: HashSet<u64>,
+    /// Admissions through the queue.
+    admitted: u64,
+    total_abandoned: u64,
+    wait_sum_ms: f64,
+}
+
+impl Queue {
+    /// Moves the head on, skipping tickets whose owners gave up so the
+    /// queue never stalls behind a ghost.
+    fn advance(&mut self) {
+        self.serving += 1;
         while self.abandoned.remove(&self.serving) {
             self.serving += 1;
         }
     }
-
-    fn head_can_enter(&self, ticket: u64) -> bool {
-        self.serving == ticket && self.in_use < self.limit
-    }
-
-    fn admit(&mut self, waited: Duration) {
-        self.serving += 1;
-        self.in_use += 1;
-        self.total_admitted += 1;
-        self.wait_sum_ms += waited.as_secs_f64() * 1000.0;
-        self.wait_count += 1;
-        self.advance_past_abandoned();
-    }
 }
 
 /// A thread-safe, FIFO-fair concurrency limiter with a live-updatable
-/// limit. See the module docs for the design rationale.
+/// limit. See the module docs for the design and its wakeup argument.
 #[derive(Debug)]
 pub struct AdaptiveGate {
-    state: Mutex<State>,
+    /// `limit << 32 | in_use`.
+    word: AtomicU64,
+    /// Arrivals parked in the queue. Changed only under `queue`; read
+    /// without it by the entry CAS and by releasers.
+    waiters: AtomicU32,
+    /// Admissions through the entry CAS (they waited zero).
+    entered: AtomicU64,
+    queue: Mutex<Queue>,
     cond: Condvar,
 }
 
@@ -94,26 +138,20 @@ impl AdaptiveGate {
     /// Creates a gate admitting at most `limit` concurrent holders.
     pub fn new(limit: u32) -> Self {
         AdaptiveGate {
-            state: Mutex::new(State {
-                limit,
-                in_use: 0,
-                next_ticket: 0,
-                serving: 0,
-                abandoned: HashSet::new(),
-                waiting: 0,
-                total_admitted: 0,
-                total_abandoned: 0,
-                wait_sum_ms: 0.0,
-                wait_count: 0,
-            }),
+            word: AtomicU64::new(u64::from(limit) << 32),
+            waiters: AtomicU32::new(0),
+            entered: AtomicU64::new(0),
+            queue: Mutex::new(Queue::default()),
             cond: Condvar::new(),
         }
     }
 
     /// Blocks until admitted; returns a permit that releases on drop.
     pub fn acquire(&self) -> Permit<'_> {
-        self.acquire_inner(None)
-            .expect("acquire without deadline cannot time out");
+        assert!(
+            self.acquire_inner(None),
+            "acquire without deadline cannot time out"
+        );
         Permit { gate: self }
     }
 
@@ -123,14 +161,16 @@ impl AdaptiveGate {
     #[allow(clippy::disallowed_methods)]
     pub fn acquire_timeout(&self, timeout: Duration) -> Option<Permit<'_>> {
         self.acquire_inner(Some(Instant::now() + timeout))
-            .map(|()| Permit { gate: self })
+            .then(|| Permit { gate: self })
     }
 
     /// Like [`AdaptiveGate::acquire`] but returns an `Arc`-owning permit
     /// that can move across threads and outlive the caller's borrow.
     pub fn acquire_owned(self: &Arc<Self>) -> OwnedPermit {
-        self.acquire_inner(None)
-            .expect("acquire without deadline cannot time out");
+        assert!(
+            self.acquire_inner(None),
+            "acquire without deadline cannot time out"
+        );
         OwnedPermit {
             gate: Arc::clone(self),
         }
@@ -139,107 +179,142 @@ impl AdaptiveGate {
     /// Admits immediately if the queue is empty and capacity is free;
     /// never blocks and never jumps the FCFS queue.
     pub fn try_acquire(&self) -> Option<Permit<'_>> {
-        let mut s = self.state.lock();
-        s.advance_past_abandoned();
-        if s.serving == s.next_ticket && s.in_use < s.limit {
-            s.next_ticket += 1;
-            s.admit(Duration::ZERO);
-            Some(Permit { gate: self })
-        } else {
-            None
+        // Lazily: a permit built on refusal would release on drop a slot
+        // it never held.
+        self.enter().then(|| Permit { gate: self })
+    }
+
+    /// The entry CAS: takes a slot if nobody is queued and one is free.
+    fn enter(&self) -> bool {
+        let entered = self.waiters.load(Ordering::SeqCst) == 0
+            && self
+                .word
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, with_one_more)
+                .is_ok();
+        if entered {
+            self.entered.fetch_add(1, Ordering::Relaxed);
+        }
+        entered
+    }
+
+    fn acquire_inner(&self, deadline: Option<Instant>) -> bool {
+        self.enter() || self.wait_in_line(deadline)
+    }
+
+    /// The queued path: draws a ticket and parks until it is the head and
+    /// a slot is free, or until `deadline`.
+    #[allow(clippy::disallowed_methods)] // real-time wait timing, see acquire_timeout
+    fn wait_in_line(&self, deadline: Option<Instant>) -> bool {
+        let start = Instant::now();
+        let mut q = self.queue.lock();
+        let ticket = q.next_ticket;
+        q.next_ticket += 1;
+        // Announce before the capacity check below: the wakeup argument.
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let mut timed_out = false;
+        loop {
+            // The head takes a slot regardless of `waiters`: it is the
+            // one they are waiting behind.
+            if q.serving == ticket
+                && self
+                    .word
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, with_one_more)
+                    .is_ok()
+            {
+                self.waiters.fetch_sub(1, Ordering::SeqCst);
+                q.admitted += 1;
+                q.wait_sum_ms += start.elapsed().as_secs_f64() * 1000.0;
+                q.advance();
+                // The new head may fit too (a raise can open several
+                // slots): cascade the wakeup.
+                self.notify_queued(&q);
+                return true;
+            }
+            if timed_out {
+                self.waiters.fetch_sub(1, Ordering::SeqCst);
+                q.total_abandoned += 1;
+                if q.serving == ticket {
+                    q.advance();
+                    self.notify_queued(&q);
+                } else {
+                    q.abandoned.insert(ticket);
+                }
+                return false;
+            }
+            match deadline {
+                None => self.cond.wait(&mut q),
+                // One last look after the deadline: a waiter that won
+                // the race at the deadline is still admitted.
+                Some(d) => timed_out = self.cond.wait_until(&mut q, d).timed_out(),
+            }
         }
     }
 
-    #[allow(clippy::disallowed_methods)] // real-time wait timing, see acquire_timeout
-    fn acquire_inner(&self, deadline: Option<Instant>) -> Option<()> {
-        let start = Instant::now();
-        let mut s = self.state.lock();
-        let ticket = s.next_ticket;
-        s.next_ticket += 1;
-        s.advance_past_abandoned();
-        if s.head_can_enter(ticket) {
-            s.admit(Duration::ZERO);
-            return Some(());
+    /// Wakes the queue if anyone is in it. Called with the mutex held
+    /// (the guard proves it), so no waiter can be between its capacity
+    /// check and its park.
+    fn notify_queued(&self, _held: &MutexGuard<'_, Queue>) {
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.cond.notify_all();
         }
-        s.waiting += 1;
-        loop {
-            match deadline {
-                None => self.cond.wait(&mut s),
-                Some(d) => {
-                    if self.cond.wait_until(&mut s, d).timed_out() {
-                        s.advance_past_abandoned();
-                        if s.head_can_enter(ticket) {
-                            // Won the race at the deadline: still admitted.
-                            s.waiting -= 1;
-                            s.admit(start.elapsed());
-                            drop(s);
-                            self.cond.notify_all();
-                            return Some(());
-                        }
-                        s.waiting -= 1;
-                        s.total_abandoned += 1;
-                        s.abandoned.insert(ticket);
-                        s.advance_past_abandoned();
-                        drop(s);
-                        self.cond.notify_all();
-                        return None;
-                    }
-                }
-            }
-            s.advance_past_abandoned();
-            if s.head_can_enter(ticket) {
-                s.waiting -= 1;
-                s.admit(start.elapsed());
-                drop(s);
-                // The next ticket holder may also fit (e.g. after a limit
-                // raise); cascade the wake-up.
-                self.cond.notify_all();
-                return Some(());
-            }
+    }
+
+    /// Takes the mutex and wakes the queue, but only if anyone is in it.
+    fn wake_queued(&self) {
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            let q = self.queue.lock();
+            self.cond.notify_all();
+            drop(q);
         }
     }
 
     fn release(&self) {
-        let mut s = self.state.lock();
-        debug_assert!(s.in_use > 0, "release without a held permit");
-        s.in_use = s.in_use.saturating_sub(1);
-        drop(s);
-        self.cond.notify_all();
+        let before = self.word.fetch_sub(1, Ordering::SeqCst);
+        debug_assert!(in_use_of(before) > 0, "release without a held permit");
+        self.wake_queued();
     }
 
     /// Replaces the admission limit `n*`. Raising it wakes queued
     /// arrivals; lowering it only affects future admissions (no
     /// displacement — §4.3).
     pub fn set_limit(&self, limit: u32) {
-        let mut s = self.state.lock();
-        s.limit = limit;
-        drop(s);
-        self.cond.notify_all();
+        let high = u64::from(limit) << 32;
+        // The closure never refuses, so the update cannot fail.
+        let _ = self
+            .word
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |w| {
+                Some(high | (w & IN_USE))
+            });
+        self.wake_queued();
     }
 
     /// The current admission limit.
     pub fn limit(&self) -> u32 {
-        self.state.lock().limit
+        limit_of(self.word.load(Ordering::SeqCst))
     }
 
     /// Permits currently held.
     pub fn in_use(&self) -> u32 {
-        self.state.lock().in_use
+        in_use_of(self.word.load(Ordering::SeqCst))
     }
 
-    /// A consistent snapshot of all counters.
+    /// A snapshot of all counters. The queue's counters are read under
+    /// its mutex; `limit`, `in_use` and admissions that never queued can
+    /// move while it is taken.
     pub fn stats(&self) -> GateStats {
-        let s = self.state.lock();
+        let q = self.queue.lock();
+        let word = self.word.load(Ordering::SeqCst);
+        let total_admitted = q.admitted + self.entered.load(Ordering::Relaxed);
         GateStats {
-            limit: s.limit,
-            in_use: s.in_use,
-            waiting: s.waiting,
-            total_admitted: s.total_admitted,
-            total_abandoned: s.total_abandoned,
-            mean_wait_ms: if s.wait_count == 0 {
+            limit: limit_of(word),
+            in_use: in_use_of(word),
+            waiting: self.waiters.load(Ordering::SeqCst),
+            total_admitted,
+            total_abandoned: q.total_abandoned,
+            mean_wait_ms: if total_admitted == 0 {
                 0.0
             } else {
-                s.wait_sum_ms / s.wait_count as f64
+                q.wait_sum_ms / total_admitted as f64
             },
         }
     }

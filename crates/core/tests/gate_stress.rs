@@ -186,3 +186,145 @@ fn raising_limit_mid_queue_admits_in_order() {
     let order = order.lock();
     assert_eq!(*order, vec![0, 1, 2, 3, 4, 5], "FIFO violated across limit raises");
 }
+
+/// Tallies of one hand-off worker, by how it asked.
+#[derive(Default)]
+struct HandOff {
+    owned: u64,
+    tried: u64,
+    timed: u64,
+    gave_up: u64,
+    /// Time the successful calls took, as the caller saw it, ms.
+    success_ms: f64,
+}
+
+/// Eight workers hammer a one-slot gate through all three entries —
+/// blocking `acquire_owned`, `try_acquire` and `acquire_timeout(1ms)` —
+/// so admissions keep crossing between the lock-free entry and the
+/// queue. Phase one holds the bound at 1; in phase two a controller
+/// flaps it between 0 and 3, and timed waiters give up mid-queue. Each phase runs under a watchdog, so a lost
+/// wakeup fails the test instead of hanging it.
+#[test]
+fn fast_and_queued_paths_hand_off_without_loss() {
+    const WORKERS: usize = 8;
+    const OPS: u64 = 400;
+    const WATCHDOG: Duration = Duration::from_secs(60);
+
+    let gate = Arc::new(AdaptiveGate::new(1));
+    let mut totals = HandOff::default();
+    for (phase, flap) in [(1, false), (2, true)] {
+        let ceiling = if flap { 3 } else { 1 };
+        let concurrent = Arc::new(AtomicI64::new(0));
+        let peak = Arc::new(AtomicI64::new(0));
+        let flapping = Arc::new(AtomicBool::new(flap));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|w| {
+                let gate = Arc::clone(&gate);
+                let concurrent = Arc::clone(&concurrent);
+                let peak = Arc::clone(&peak);
+                let done_tx = done_tx.clone();
+                std::thread::spawn(move || {
+                    let mut tally = HandOff::default();
+                    let hold = |tally: &mut HandOff, started: std::time::Instant| {
+                        tally.success_ms += started.elapsed().as_secs_f64() * 1000.0;
+                        let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        std::thread::yield_now();
+                        concurrent.fetch_sub(1, Ordering::SeqCst);
+                    };
+                    for i in 0..OPS {
+                        let started = std::time::Instant::now();
+                        match (w as u64 + i) % 3 {
+                            0 => {
+                                let permit = gate.acquire_owned();
+                                tally.owned += 1;
+                                hold(&mut tally, started);
+                                drop(permit);
+                            }
+                            1 => {
+                                if let Some(permit) = gate.try_acquire() {
+                                    tally.tried += 1;
+                                    hold(&mut tally, started);
+                                    drop(permit);
+                                }
+                            }
+                            _ => {
+                                if let Some(permit) = gate.acquire_timeout(Duration::from_millis(1))
+                                {
+                                    tally.timed += 1;
+                                    hold(&mut tally, started);
+                                    drop(permit);
+                                } else {
+                                    tally.gave_up += 1;
+                                }
+                            }
+                        }
+                    }
+                    let _ = done_tx.send(());
+                    tally
+                })
+            })
+            .collect();
+        drop(done_tx);
+        let flapper = {
+            let gate = Arc::clone(&gate);
+            let flapping = Arc::clone(&flapping);
+            std::thread::spawn(move || {
+                // Closed spells outlast the 1 ms patience, so timed
+                // waiters abandon from inside a live queue.
+                while flapping.load(Ordering::SeqCst) {
+                    gate.set_limit(0);
+                    std::thread::sleep(Duration::from_micros(1500));
+                    gate.set_limit(3);
+                    std::thread::sleep(Duration::from_micros(300));
+                }
+            })
+        };
+        for _ in 0..WORKERS {
+            if done_rx.recv_timeout(WATCHDOG).is_err() {
+                panic!(
+                    "phase {phase}: workers stalled for {WATCHDOG:?} \
+                     (a lost wakeup?); gate {:?}",
+                    gate.stats()
+                );
+            }
+        }
+        flapping.store(false, Ordering::SeqCst);
+        flapper.join().unwrap();
+        gate.set_limit(1);
+        for w in workers {
+            let t = w.join().unwrap();
+            totals.owned += t.owned;
+            totals.tried += t.tried;
+            totals.timed += t.timed;
+            totals.gave_up += t.gave_up;
+            totals.success_ms += t.success_ms;
+        }
+        let peak = peak.load(Ordering::SeqCst);
+        assert!(
+            peak <= ceiling,
+            "phase {phase}: {peak} holders under a limit of at most {ceiling}"
+        );
+    }
+
+    let stats = gate.stats();
+    assert_eq!(stats.in_use, 0);
+    assert_eq!(stats.waiting, 0);
+    assert_eq!(
+        stats.total_admitted,
+        totals.owned + totals.tried + totals.timed,
+        "admissions on the lock-free entry and the queue must both count"
+    );
+    assert_eq!(stats.total_abandoned, totals.gave_up);
+    // The mean is over all admissions: the gate's waits sum to at most
+    // what the successful callers measured around their calls.
+    assert!(stats.mean_wait_ms.is_finite() && stats.mean_wait_ms > 0.0);
+    assert!(
+        stats.mean_wait_ms * stats.total_admitted as f64 <= totals.success_ms + 1e-9,
+        "mean wait {} ms over {} admissions exceeds the {} ms callers waited",
+        stats.mean_wait_ms,
+        stats.total_admitted,
+        totals.success_ms
+    );
+}

@@ -15,11 +15,18 @@
 //!   call [`ControlLoop::admit`] / [`ControlLoop::complete`]; any timer
 //!   calls [`ControlLoop::tick`] once per measurement interval.
 //!
-//! The `admit`/`complete` fast path takes two short critical sections
-//! (gate, then core) and allocates nothing after warm-up — the
-//! counting-allocator test in `tests/alloc_gate.rs` pins that.
+//! The shell's mutable state — the core, the optional trace sink and
+//! the attempt sequence number — sits behind one mutex. `admit`,
+//! `complete` and `tick` each take it exactly once, and read the clock
+//! *inside* it, so the core sees event times in the order it sees the
+//! events: its non-decreasing `now_ms` contract holds under any thread
+//! interleaving. The gate itself is lock-free while nobody queues (see
+//! [`alc_core::gate`]): an admit → complete pair costs two acquisitions
+//! of the shell mutex plus the gate's entry CAS and release `fetch_sub`,
+//! and the population is read back as an atomic load. The fast path
+//! allocates nothing after warm-up — the counting-allocator test in
+//! `tests/alloc_gate.rs` pins that.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -206,11 +213,17 @@ impl LoopCore {
 pub struct ControlLoop {
     gate: Arc<AdaptiveGate>,
     policy: AdmissionPolicy,
-    core: Mutex<LoopCore>,
-    trace: Mutex<Option<Box<dyn TraceSink>>>,
-    seq: AtomicU64,
+    shell: Mutex<Shell>,
     // alc-lint: allow(wall-clock, reason="the shell's one clock: stamps events with ms since construction; the deterministic core never reads it")
     epoch: std::time::Instant,
+}
+
+/// The shell's mutable state, all behind one mutex.
+struct Shell {
+    core: LoopCore,
+    trace: Option<Box<dyn TraceSink>>,
+    /// Sequence number of the next admitted attempt.
+    seq: u64,
 }
 
 /// A held admission slot, returned by [`ControlLoop::admit`]. Wraps the
@@ -247,9 +260,11 @@ impl ControlLoop {
         ControlLoop {
             gate,
             policy,
-            core: Mutex::new(LoopCore::new(law, indicator)),
-            trace: Mutex::new(None),
-            seq: AtomicU64::new(0),
+            shell: Mutex::new(Shell {
+                core: LoopCore::new(law, indicator),
+                trace: None,
+                seq: 0,
+            }),
             #[allow(clippy::disallowed_methods)] // real-time shell: the epoch is its time base
             // alc-lint: allow(wall-clock, reason="epoch stamp at construction; all later times are durations from it")
             epoch: std::time::Instant::now(),
@@ -258,12 +273,12 @@ impl ControlLoop {
 
     /// Installs a gate-log recorder (e.g. [`crate::log::JsonlSink`]).
     pub fn set_gate_log(&self, sink: Box<dyn GateLogSink>) {
-        self.core.lock().set_gate_log(sink);
+        self.shell.lock().core.set_gate_log(sink);
     }
 
     /// Removes and returns the recorder (to flush/inspect after a run).
     pub fn take_gate_log(&self) -> Option<Box<dyn GateLogSink>> {
-        self.core.lock().take_gate_log()
+        self.shell.lock().core.take_gate_log()
     }
 
     /// Installs a span/event trace sink (e.g. an
@@ -274,31 +289,29 @@ impl ControlLoop {
     /// `client.shed` instants for shed arrivals — all stamped with ms
     /// since the loop's epoch.
     pub fn set_trace_sink(&self, sink: Box<dyn TraceSink>) {
-        let mut trace = self.trace.lock();
-        *trace = Some(sink);
-        if let Some(t) = trace.as_mut() {
-            t.emit(&TraceEvent::process_name(alc_trace::PID_NODE, "runtime", None));
+        let mut shell = self.shell.lock();
+        let t = shell.trace.insert(sink);
+        t.emit(&TraceEvent::process_name(alc_trace::PID_NODE, "runtime", None));
+        t.emit(&TraceEvent::thread_name(
+            alc_trace::PID_NODE,
+            alc_trace::TID_CONTROL,
+            "control",
+            None,
+        ));
+        for lane in 0..TRACE_LANES {
+            let lane = lane as u32;
             t.emit(&TraceEvent::thread_name(
                 alc_trace::PID_NODE,
-                alc_trace::TID_CONTROL,
-                "control",
-                None,
+                1 + lane,
+                "worker-",
+                Some(lane),
             ));
-            for lane in 0..TRACE_LANES {
-                let lane = lane as u32;
-                t.emit(&TraceEvent::thread_name(
-                    alc_trace::PID_NODE,
-                    1 + lane,
-                    "worker-",
-                    Some(lane),
-                ));
-            }
         }
     }
 
     /// Removes and returns the trace sink (to finish/flush it).
     pub fn take_trace_sink(&self) -> Option<Box<dyn TraceSink>> {
-        self.trace.lock().take()
+        self.shell.lock().trace.take()
     }
 
     /// Milliseconds since construction — the loop's time base.
@@ -323,33 +336,32 @@ impl ControlLoop {
             AdmissionPolicy::QueueTimeout(patience) => self.gate.acquire_timeout(patience),
             AdmissionPolicy::Shed => self.gate.try_acquire(),
         };
+        let mut shell = self.shell.lock();
+        let Shell { core, trace, seq } = &mut *shell;
         let now = self.now_ms();
-        {
-            let mut core = self.core.lock();
-            match permit {
-                Some(_) => core.on_mpl(now, self.gate.in_use()),
-                None => core.on_shed(),
-            }
-        }
         match permit {
             Some(inner) => {
-                let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = self.trace.lock().as_mut() {
+                let in_use = self.gate.in_use();
+                core.on_mpl(now, in_use);
+                let permit = AdmittedPermit {
+                    inner,
+                    admitted_at_ms: now,
+                    seq: *seq,
+                };
+                *seq += 1;
+                if let Some(t) = trace.as_mut() {
                     t.emit(&TraceEvent::counter(
                         tname::MPL,
                         now,
                         alc_trace::PID_NODE,
-                        f64::from(self.gate.in_use()),
+                        f64::from(in_use),
                     ));
                 }
-                Some(AdmittedPermit {
-                    inner,
-                    admitted_at_ms: now,
-                    seq,
-                })
+                Some(permit)
             }
             None => {
-                if let Some(t) = self.trace.lock().as_mut() {
+                core.on_shed();
+                if let Some(t) = trace.as_mut() {
                     t.emit(&TraceEvent::instant(
                         tname::CLIENT_SHED,
                         tcat::CLIENT,
@@ -365,29 +377,31 @@ impl ControlLoop {
 
     /// Reports how an admitted unit of work ended, releasing its slot.
     pub fn complete(&self, permit: AdmittedPermit<'_>, outcome: Outcome) {
-        let now = self.now_ms();
         let AdmittedPermit {
             inner,
             admitted_at_ms,
             seq,
         } = permit;
+        let mut shell = self.shell.lock();
+        let Shell { core, trace, .. } = &mut *shell;
+        let now = self.now_ms();
         let outcome_name = match outcome {
-            Outcome::Commit { .. } => "commit",
-            Outcome::Abort { .. } => "abort",
-        };
-        {
-            let mut core = self.core.lock();
-            match outcome {
-                Outcome::Commit {
-                    response_ms,
-                    conflicts,
-                } => core.on_commit(now, response_ms, conflicts),
-                Outcome::Abort { conflicts } => core.on_abort(now, conflicts),
+            Outcome::Commit {
+                response_ms,
+                conflicts,
+            } => {
+                core.on_commit(now, response_ms, conflicts);
+                "commit"
             }
-            drop(inner); // release the slot, then observe the new population
-            core.on_mpl(now, self.gate.in_use());
-        }
-        if let Some(t) = self.trace.lock().as_mut() {
+            Outcome::Abort { conflicts } => {
+                core.on_abort(now, conflicts);
+                "abort"
+            }
+        };
+        drop(inner); // release the slot, then observe the new population
+        let in_use = self.gate.in_use();
+        core.on_mpl(now, in_use);
+        if let Some(t) = trace.as_mut() {
             t.emit(
                 &TraceEvent::complete(
                     tname::ATTEMPT,
@@ -403,7 +417,7 @@ impl ControlLoop {
                 tname::MPL,
                 now,
                 alc_trace::PID_NODE,
-                f64::from(self.gate.in_use()),
+                f64::from(in_use),
             ));
         }
     }
@@ -413,11 +427,13 @@ impl ControlLoop {
     /// (`alc_core::sampler` has interval-sizing policies if the cadence
     /// itself should adapt).
     pub fn tick(&self) -> Decision {
+        let mut shell = self.shell.lock();
+        let Shell { core, trace, .. } = &mut *shell;
         let now = self.now_ms();
         let queue_depth = self.gate.stats().waiting;
-        let decision = self.core.lock().harvest(now, queue_depth);
+        let decision = core.harvest(now, queue_depth);
         self.gate.set_limit(decision.bound);
-        if let Some(t) = self.trace.lock().as_mut() {
+        if let Some(t) = trace.as_mut() {
             t.emit(
                 &TraceEvent::instant(
                     tname::GATE_DECISION,
@@ -446,7 +462,8 @@ impl ControlLoop {
     pub fn metrics(&self) -> MetricsSnapshot {
         let now = self.now_ms();
         let stats = self.gate.stats();
-        let core = self.core.lock();
+        let shell = self.shell.lock();
+        let core = &shell.core;
         let (commits, aborts, sheds, decisions) = core.totals();
         let last = core.last_decision();
         let (window, queue_depth) = match last {
@@ -476,7 +493,7 @@ impl ControlLoop {
 
     /// Read access to the law under the loop's lock.
     pub fn with_law<R>(&self, f: impl FnOnce(&dyn ControlLaw) -> R) -> R {
-        f(self.core.lock().law())
+        f(self.shell.lock().core.law())
     }
 }
 

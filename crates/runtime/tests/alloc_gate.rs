@@ -1,12 +1,13 @@
 //! Allocation gate: the runtime's admit/complete/tick fast path must be
 //! zero-allocation after warm-up.
 //!
-//! This test binary installs a counting global allocator and drives a
-//! warmed-up [`ControlLoop`] through admit → complete cycles with
-//! periodic ticks, exactly as an embedding server would. After warm-up,
-//! *no* operation may touch the allocator: the gate admits by counter
-//! arithmetic, telemetry accumulates into fixed-size P² marker arrays,
-//! and the AIMD law is pure arithmetic. (The JSONL gate-log sink is the
+//! This test binary installs a counting global allocator and drives
+//! warmed-up [`ControlLoop`]s through admit → complete cycles with
+//! periodic ticks, exactly as an embedding server would: a queueing
+//! AIMD loop, and the shedding fixed-bound paper loop the benchmark
+//! measures. After warm-up, *no* operation may touch the allocator: the
+//! gate admits by one CAS on its packed word, telemetry accumulates into
+//! fixed-size P² marker arrays, and both laws are pure arithmetic. (The JSONL gate-log sink is the
 //! documented exception — logging buys bytes with allocations — so the
 //! measured loop runs without one.)
 //!
@@ -20,8 +21,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use alc_core::controller::FixedBound;
 use alc_core::measure::PerfIndicator;
-use alc_runtime::{AdmissionPolicy, AimdLaw, AimdParams, ControlLoop, Outcome};
+use alc_runtime::{AdmissionPolicy, AimdLaw, AimdParams, ControlLoop, Outcome, PaperLaw};
 
 struct CountingAlloc;
 
@@ -52,11 +54,11 @@ fn allocations() -> u64 {
 
 /// One batch of server-shaped work: admit, "run" (pure arithmetic),
 /// complete with a mix of commits and aborts, tick every `tick_every`
-/// cycles. The bound stays far above 1 so `Queue` admissions never park
-/// the thread.
+/// cycles. The bound stays above 1 so admissions never park the thread
+/// or shed.
 fn churn(rt: &ControlLoop, ops: usize, tick_every: usize) {
     for i in 0..ops {
-        let permit = rt.admit().expect("Queue policy never sheds");
+        let permit = rt.admit().expect("one worker never fills the gate");
         let response = 1.0 + (i * 31 % 89) as f64;
         let outcome = if i % 11 == 0 {
             Outcome::Abort {
@@ -76,11 +78,19 @@ fn churn(rt: &ControlLoop, ops: usize, tick_every: usize) {
     }
 }
 
-fn main() {
-    const WARMUP_OPS: usize = 10_000;
-    const MEASURED_OPS: usize = 50_000;
+const WARMUP_OPS: usize = 10_000;
+const MEASURED_OPS: usize = 50_000;
 
-    let rt = ControlLoop::new(
+/// Warms `rt` up, then counts the allocations of a measured churn.
+fn steady_state_allocations(rt: &ControlLoop) -> u64 {
+    churn(rt, WARMUP_OPS, 97);
+    let before = allocations();
+    churn(rt, MEASURED_OPS, 97);
+    allocations() - before
+}
+
+fn main() {
+    let queue = ControlLoop::new(
         Box::new(AimdLaw::new(AimdParams {
             initial_bound: 64,
             min_bound: 16,
@@ -90,18 +100,18 @@ fn main() {
         PerfIndicator::Throughput,
         AdmissionPolicy::Queue,
     );
-
-    churn(&rt, WARMUP_OPS, 97);
-
-    let before = allocations();
-    churn(&rt, MEASURED_OPS, 97);
-    let after = allocations();
-
-    assert_eq!(
-        after - before,
-        0,
-        "admit/complete/tick fast path allocated {} times over {MEASURED_OPS} steady-state ops",
-        after - before
+    let shed = ControlLoop::new(
+        Box::new(PaperLaw::new(Box::new(FixedBound::new(8)))),
+        PerfIndicator::Throughput,
+        AdmissionPolicy::Shed,
     );
-    println!("alloc_gate ok: admit/complete/tick fast path allocation-free");
+    for (name, rt) in [("Queue/AIMD", &queue), ("Shed/PaperLaw(FixedBound)", &shed)] {
+        let allocated = steady_state_allocations(rt);
+        assert_eq!(
+            allocated, 0,
+            "{name}: admit/complete/tick fast path allocated {allocated} times over \
+             {MEASURED_OPS} steady-state ops"
+        );
+    }
+    println!("alloc_gate ok: admit/complete/tick fast path allocation-free (Queue and Shed)");
 }
